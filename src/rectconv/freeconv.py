@@ -14,10 +14,20 @@ m_v(zeta).  The inverse subordination map
 
 satisfies Phi(zeta(z)) = z and supplies the solver residual.
 
-The solver walks an eta-homotopy ladder from eta_start down to Im z,
-warm-starting Newton at each level; a damped fixed-point sweep on m is
-the recovery path when a Newton step cannot improve.  All entry points
-accept arrays of evaluation points and solve them in lockstep.
+Off the real axis the solver walks an eta-homotopy ladder from eta_start
+down to Im z, warm-starting Newton at each level; a damped fixed-point
+sweep on m is the recovery path when a Newton step cannot improve.  All
+entry points accept arrays of evaluation points and solve them in
+lockstep.
+
+Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
+with Im zeta > 0, solved by Newton in a walk that starts at the right
+edge (seeded by the quadratic expansion of Phi at its critical point)
+and steps down through the energies, halving the step whenever Newton
+fails.  The walk covers the right-edge component of the support; the
+points it does not reach (gaps, the region left of the component,
+E <= 0) get the eta ladder at two small eta values and a Richardson
+extrapolation.  Energies at or above the edge have density exactly 0.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .edge import EdgeBracketError, find_right_edge
 from .spectrum import ModelParams, Spectrum
 from .stieltjes import m_v, m_v_derivative
 
@@ -47,10 +58,14 @@ __all__ = [
     "scan_to_json",
 ]
 
-# Two-level extrapolation baseline for real-axis densities.
+# Two-level extrapolation for the real-axis points the edge walk leaves.
 _DENSITY_ETAS = (1e-7, 5e-8)
 _DENSITY_CLAMP = -1e-9
 _SUPPORT_THRESHOLD = 1e-6
+# Edge walk: Newton iterations per step, and the smallest E-step
+# relative to max(1, lambda_plus).
+_WALK_NEWTON = 8
+_WALK_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -136,9 +151,10 @@ def _raw_sums(d: np.ndarray, zeta: np.ndarray, with_derivative: bool = False):
     for lo in range(0, k, stride):
         hi = min(k, lo + stride)
         inv = 1.0 / (d[:, None] - zeta[None, lo:hi])
-        mv[lo:hi] = inv.mean(axis=0)
+        # sum / count is the arithmetic of mean(), without its per-call overhead
+        mv[lo:hi] = inv.sum(axis=0) / d.shape[0]
         if with_derivative:
-            mv1[lo:hi] = (inv * inv).mean(axis=0)
+            mv1[lo:hi] = (inv * inv).sum(axis=0) / d.shape[0]
     return mv, mv1
 
 
@@ -349,8 +365,12 @@ def _solve_grid(spec, params, z, cfg, method):
 
     m_under = c * m - (1.0 - c) / z
     if np.any(residual > cfg.tolerance):
-        worst = float(residual.max())
-        raise SolverError(f"residual {worst:.3e} exceeds tolerance after ladder", 0.0)
+        j = int(np.argmax(residual))
+        raise SolverError(
+            f"residual {residual[j]:.3e} exceeds tolerance after ladder "
+            f"at E={z[j].real:.17g}, eta={z[j].imag:.3g}",
+            0.0,
+        )
     return m, b, zeta, m_under, residual, iters
 
 
@@ -430,30 +450,154 @@ def solve_many(
     return points
 
 
-def _density_raw(spec, params, E, cfg):
-    """Extrapolated density values plus solver diagnostics on an E-array."""
-    E = np.asarray(E, dtype=float).ravel()
-    if params.t == 0.0 and np.any(E <= 0):
-        raise ValueError("density at t = 0 needs E > 0")
+def _phi_slope(d, c, t, zeta):
+    """Phi, Phi' and m_v at one point zeta, from one atom-sum pass."""
+    mv, mv1 = (complex(x[0]) for x in _raw_sums(d, np.array([zeta]), with_derivative=True))
+    g = 1.0 - c * t * mv
+    g1 = -c * t * mv1
+    return zeta * g * g + (1.0 - c) * t * g, g * g + 2.0 * zeta * g * g1 + (1.0 - c) * t * g1, mv
+
+
+def _walk_newton(d, c, t, E, zeta, tol):
+    """Newton on Phi(zeta) = E from a seed, kept in Im zeta > 0.
+
+    Returns (zeta, Phi', m_v, residual) or None, plus the steps taken.
+    Accepts once the residual meets tol and either sits 100 times below
+    it or stops falling (the rounding floor); gives up when a residual
+    above tol stops falling, an iterate leaves the upper half plane, or
+    the iteration budget runs out.
+    """
+    prev = np.inf
+    best = None
+    for steps in range(_WALK_NEWTON + 1):
+        ph, dph, mv = _phi_slope(d, c, t, zeta)
+        F = ph - E
+        r = abs(F)
+        if r <= tol:
+            best = (zeta, dph, mv, r)
+            if r <= 0.01 * tol or r >= 0.5 * prev:
+                return best, steps
+        elif not r < prev:
+            return best, steps
+        if steps == _WALK_NEWTON:
+            break
+        zeta = zeta - F / dph
+        if not zeta.imag > 0:
+            return best, steps + 1
+        prev = r
+    return best, _WALK_NEWTON
+
+
+def _walk(d, c, t, edge, E_desc, tol):
+    """Real-axis solutions Phi(zeta) = E walked down from the right edge.
+
+    E_desc holds energies below lambda_plus in descending order.  Each
+    E-step is seeded by the edge expansion zeta_+ + i sqrt(2 kappa / Phi'')
+    while the walk sits at the edge, and by the predictor zeta - h / Phi'
+    after that; a step is halved when Newton fails and doubled after a
+    success.  The walk ends when the density drops below the support
+    threshold or the step falls below the floor.  Returns (rho, residual,
+    steps) for the prefix of E_desc it reached.
+    """
+    lam = edge.lambda_plus
+    floor = _WALK_FLOOR * max(1.0, lam)
+    E_cur, zeta, slope = lam, complex(edge.zeta_plus), None
+    h_allow = np.inf
+    in_support = False
+    rho = residual = 0.0
+    out = []
+    for E in E_desc:
+        steps = 0
+        while E_cur > E:
+            h = min(E_cur - E, h_allow)
+            E_try = E if h == E_cur - E else E_cur - h
+            if slope is None:
+                seed = complex(edge.zeta_plus, np.sqrt(2.0 * (lam - E_try) / edge.phi_second))
+            else:
+                seed = zeta - h / slope
+            sol, used = _walk_newton(d, c, t, E_try, seed, tol)
+            steps += used
+            if sol is None:
+                h_allow = 0.5 * h
+                if h_allow < floor:
+                    return out
+                continue
+            zeta, slope, mv, residual = sol
+            E_cur = E_try
+            h_allow = 2.0 * h
+            rho = (mv / (1.0 - c * t * mv)).imag / np.pi
+            if rho >= _SUPPORT_THRESHOLD:
+                in_support = True
+            elif in_support:
+                return out
+        out.append((rho, residual, steps))
+    return out
+
+
+def _ladder_density(spec, params, E, cfg):
+    """Density by the eta ladder at both _DENSITY_ETAS, extrapolated to eta = 0."""
     eta_hi, eta_lo = _DENSITY_ETAS
-    m_hi = _solve_grid(spec, params, E + 1j * eta_hi, cfg, "hybrid")
-    m_lo = _solve_grid(spec, params, E + 1j * eta_lo, cfg, "hybrid")
+    try:
+        m_hi = _solve_grid(spec, params, E + 1j * eta_hi, cfg, "hybrid")
+        m_lo = _solve_grid(spec, params, E + 1j * eta_lo, cfg, "hybrid")
+    except SolverError as exc:
+        raise SolverError(f"density ladder stage: {exc}", exc.eta_level) from exc
     rho = (2.0 * m_lo[0].imag - m_hi[0].imag) / np.pi
     if np.any(rho < _DENSITY_CLAMP):
+        j = int(np.argmin(rho))
         raise SolverError(
-            f"density extrapolation produced {float(rho.min()):.3e} < clamp", eta_lo
+            f"density ladder stage: extrapolation produced {rho[j]:.3e} < clamp "
+            f"at E={E[j]:.17g}",
+            eta_lo,
         )
-    rho = np.maximum(rho, 0.0)
+    return np.maximum(rho, 0.0), np.maximum(m_hi[4], m_lo[4]), m_hi[5] + m_lo[5]
+
+
+def _density_raw(spec, params, E, cfg):
+    """Density values plus per-point solver diagnostics on an E-array.
+
+    Points reached by the edge walk report eta_used = 0, their real-axis
+    residual |Phi(zeta) - E| and the Newton steps of the walk segment that
+    ended at them; energies at or above lambda_plus report zeros; every
+    other point carries the ladder's values at the smaller eta.
+    """
+    E = np.asarray(E, dtype=float).ravel()
+    c, t = params.c_n, params.t
+    if t == 0.0 and np.any(E <= 0):
+        raise ValueError("density at t = 0 needs E > 0")
+    k = E.shape[0]
+    rho = np.zeros(k)
     diag = {
-        "eta_used": np.full(E.shape[0], eta_lo),
-        "residual": np.maximum(m_hi[4], m_lo[4]),
-        "iterations": m_hi[5] + m_lo[5],
+        "eta_used": np.zeros(k),
+        "residual": np.zeros(k),
+        "iterations": np.zeros(k, dtype=int),
     }
+    ladder = np.ones(k, dtype=bool)
+    if t > 0.0:
+        try:
+            edge = find_right_edge(spec, params)
+        except EdgeBracketError:  # no edge to walk from: every point takes the ladder
+            edge = None
+        if edge is not None:
+            ladder = E < edge.lambda_plus
+            inside = np.flatnonzero(ladder & (E > 0.0))
+            order = inside[np.argsort(-E[inside], kind="stable")]
+            walked = _walk(spec.values, c, t, edge, E[order], cfg.tolerance)
+            if walked:
+                idx = order[: len(walked)]
+                rho[idx], diag["residual"][idx], diag["iterations"][idx] = np.array(walked).T
+                ladder[idx] = False
+    if ladder.any():
+        rho[ladder], diag["residual"][ladder], diag["iterations"][ladder] = _ladder_density(
+            spec, params, E[ladder], cfg
+        )
+        diag["eta_used"][ladder] = _DENSITY_ETAS[1]
     return rho, diag
 
 
 def density(spec: Spectrum, params: ModelParams, E: float, cfg: SolverConfig | None = None) -> float:
-    """Spectral density at real energy E via small-eta extrapolation."""
+    """Spectral density at real energy E: the real-axis edge walk where it
+    reaches, the extrapolated eta ladder elsewhere."""
     cfg = cfg or SolverConfig()
     return float(_density_raw(spec, params, [E], cfg)[0][0])
 
@@ -464,7 +608,8 @@ def density_curve(spec: Spectrum, params: ModelParams, E, cfg: SolverConfig | No
 
 
 def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfig | None = None):
-    """(rho, diagnostics) for CSV export; diagnostics carry the final-eta solve data."""
+    """(rho, diagnostics) for CSV export: per point eta_used (0 on the real
+    axis, else the ladder's smaller eta), residual and iteration count."""
     cfg = cfg or SolverConfig()
     return _density_raw(spec, params, E, cfg)
 

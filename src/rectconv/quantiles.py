@@ -16,7 +16,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .edge import EdgeData
-from .freeconv import SolverConfig, density_curve
+from .freeconv import SolverConfig, SolverError, density_curve
 from .spectrum import ModelParams, Spectrum
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "write_quantile_csv",
 ]
 
-_GRID_POINTS = 2000
+_GRID_POINTS = 2001  # odd, so every other point is the nested coarse grid
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,22 @@ class QuantileTable:
     quad_error: float
 
 
-def _mass_spline(spec, params, lam_plus, u_max, cfg, n_pts):
-    """Cumulative mass C(u) of the density below the edge, u = sqrt(lam - E)."""
-    u = np.linspace(0.0, u_max, n_pts)
+def _mass_spline(spec, params, lam_plus, u_max, cfg):
+    """Cumulative mass C(u) of the density below the edge, u = sqrt(lam - E).
+
+    Returns the spline on the full grid and on every other grid point;
+    the coarse one prices the integration error without new solves.
+    """
+    u = np.linspace(0.0, u_max, _GRID_POINTS)
     E = lam_plus - u * u
-    rho = np.zeros(n_pts)
+    rho = np.zeros(_GRID_POINTS)
     # the density vanishes for E <= 0; only query positive energies
     pos = E > 1e-300
     rho[pos] = density_curve(spec, params, E[pos], cfg)
     g = 2.0 * u * rho
-    return u, PchipInterpolator(u, g).antiderivative()
+    fine = PchipInterpolator(u, g).antiderivative()
+    coarse = PchipInterpolator(u[::2], g[::2]).antiderivative()
+    return fine, coarse
 
 
 def _locations(spec, params, edge, targets, cfg):
@@ -77,12 +83,12 @@ def _locations(spec, params, edge, targets, cfg):
         u_max = np.sqrt(lam) * 0.1
 
     for _ in range(24):
-        u, C = _mass_spline(spec, params, lam, u_max, cfg, _GRID_POINTS)
+        C, C2 = _mass_spline(spec, params, lam, u_max, cfg)
         if C(u_max) >= need or u_max >= np.sqrt(lam) * (1 - 1e-12):
             break
         u_max = min(u_max * 1.5, np.sqrt(lam))
     if C(u_max) < need:
-        raise ValueError(
+        raise SolverError(
             f"window exhausted: mass {float(C(u_max)):.6g} < requested {need:.6g}"
         )
 
@@ -95,12 +101,11 @@ def _locations(spec, params, edge, targets, cfg):
         roots = C.solve(tau, extrapolate=False)
         roots = roots[(roots >= 0) & (roots <= u_max)]
         if roots.size == 0:
-            raise ValueError(f"no root for quantile {idx + 1}")
+            raise SolverError(f"no root for quantile {idx + 1} (right mass {tau:.6g})")
         u_roots[idx] = roots.min()
         x[idx] = lam - u_roots[idx] ** 2
 
-    # grid-halving error estimate on a second, coarser density grid
-    _, C2 = _mass_spline(spec, params, lam, u_max, cfg, _GRID_POINTS // 2)
+    # grid-halving error estimate from the nested coarse spline
     disc = max(
         (abs(float(C2(u_roots[idx])) - tau) for idx, tau in enumerate(targets) if tau > 0),
         default=0.0,
@@ -108,7 +113,7 @@ def _locations(spec, params, edge, targets, cfg):
     quad_error = max(4.0 * disc, 1e-9)
 
     if np.any(np.diff(x[np.argsort(targets, kind="stable")]) >= 0):
-        raise ValueError("classical locations failed to decrease strictly")
+        raise SolverError("classical locations failed to decrease strictly")
     return x, quad_error
 
 

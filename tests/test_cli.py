@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from rectconv import find_right_edge, make_spectrum, ModelParams
+from rectconv import SolverError, find_right_edge, make_spectrum, ModelParams, quantiles
 from rectconv.cli import main
 
 
@@ -303,6 +304,21 @@ def test_solver_failure_exits_three(tmp_path, capsys):
     )
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_quantile_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # a density that reads zero leaves no mass for the quantile window: a
+    # numerical failure (SolverError, exit 3), not a usage error
+    monkeypatch.setattr(
+        quantiles, "density_curve", lambda spec, params, E, cfg=None: np.zeros(len(E))
+    )
+    spec, params = make_spectrum([0.0] * 10), ModelParams(p=10, n=20, t=0.5)
+    with pytest.raises(SolverError, match="window exhausted"):
+        quantiles.classical_locations(spec, params, 5, find_right_edge(spec, params))
+    cfg = _write_config(tmp_path)
+    rc = main(["quantiles", "--config", cfg, "--out", str(tmp_path / "o"), "--jmax", "5"])
+    assert rc == 3
+    assert "numerical failure: window exhausted" in capsys.readouterr().err
 
 
 def test_bad_density_range(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rectconv import freeconv
 from rectconv import (
     ModelParams,
     SolverConfig,
@@ -137,21 +138,90 @@ def test_density_mp_closed_form(mp_unit):
     assert density(spec, params, 4.5) <= 1e-14
 
 
-def test_density_curve_matches_pointwise(canonical_small):
-    spec, params = canonical_small
-    E = np.linspace(0.3, 1.6, 7)
-    curve = density_curve(spec, params, E)
-    single = np.array([density(spec, params, e) for e in E])
-    npt.assert_allclose(curve, single, rtol=1e-12, atol=1e-15)
+def test_density_curve_matches_pointwise(canonical_small, mp_unit):
+    # a single point walks from the edge on its own path; a curve reaches
+    # it from its neighbour: both must land on the same root.  The MP and
+    # gapped cases add points handed to the ladder and points above the edge
+    gapped = make_spectrum([2.0] * 20 + [0.5] * 20), ModelParams(p=40, n=400, t=0.05)
+    cases = [
+        (canonical_small, np.linspace(0.3, 1.6, 7)),
+        (mp_unit, np.array([0.05, 0.7, 2.0, 3.3, 3.999, 4.5, -1.0])),
+        (gapped, np.array([0.3, 0.6, 1.2, 1.9, 2.2, 2.4])),
+    ]
+    for (spec, params), E in cases:
+        curve = density_curve(spec, params, E)
+        single = np.array([density(spec, params, e) for e in E])
+        npt.assert_allclose(curve, single, rtol=1e-12, atol=1e-15)
 
 
 def test_density_diagnostics_fields(canonical_small):
+    # a bulk point is reached by the real-axis walk (eta_used 0, residual
+    # |Phi(zeta) - E|); a point left of the support goes to the eta ladder
     spec, params = canonical_small
-    rho, info = density_diagnostics(spec, params, 1.0)
-    assert rho > 0
-    assert info["eta_used"] > 0
-    assert info["residual"] <= 1e-10
-    assert info["iterations"] >= 1
+    rho, info = density_diagnostics(spec, params, [1.0, -0.5])
+    assert rho[0] > 0
+    assert info["eta_used"][0] == 0.0
+    assert info["residual"][0] <= 1e-12
+    assert info["iterations"][0] >= 1
+    assert rho[1] < 1e-6
+    assert info["eta_used"][1] == 5e-8
+    assert info["residual"][1] <= 1e-10
+    assert info["iterations"][1] >= 1
+
+
+def _ladder_density(spec, params, E):
+    # the extrapolated eta ladder the real-axis walk replaces
+    eta_hi, eta_lo = freeconv._DENSITY_ETAS
+    cfg = SolverConfig()
+    m_hi = freeconv._solve_grid(spec, params, E + 1j * eta_hi, cfg, "hybrid")[0]
+    m_lo = freeconv._solve_grid(spec, params, E + 1j * eta_lo, cfg, "hybrid")[0]
+    return np.maximum((2.0 * m_lo.imag - m_hi.imag) / np.pi, 0.0)
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_density_marchenko_pastur_closed_form(n):
+    # all-zero signal, t = 1, c = p/n: rho = sqrt((b - E)(E - a)) / (2 pi c E)
+    p = 50
+    c = p / n
+    spec, params = make_spectrum(np.zeros(p)), ModelParams(p=p, n=n, t=1.0)
+    a, b = (1.0 - np.sqrt(c)) ** 2, (1.0 + np.sqrt(c)) ** 2
+    E = np.linspace(a, b, 203)[1:-1]
+    exact = np.sqrt((b - E) * (E - a)) / (2.0 * np.pi * c * E)
+    rho, info = density_diagnostics(spec, params, E)
+    npt.assert_allclose(rho, exact, rtol=0, atol=1e-12)
+    assert np.all(info["eta_used"] == 0.0)
+
+
+def test_density_walk_matches_ladder(canonical_small):
+    spec, params = canonical_small
+    edge = find_right_edge(spec, params)
+    E = np.linspace(-0.5, edge.lambda_plus + 0.2, 240)
+    rho, info = density_diagnostics(spec, params, E)
+    walked = info["eta_used"] == 0.0
+    assert walked.sum() > 150
+    ref = _ladder_density(spec, params, E)
+    close = walked & (E < edge.lambda_plus - 1e-4)
+    npt.assert_allclose(rho[close], ref[close], rtol=1e-8)
+    assert np.all(rho[E >= edge.lambda_plus] == 0.0)
+    handed = ~walked & (E < edge.lambda_plus)
+    npt.assert_allclose(rho[handed], ref[handed], rtol=1e-12, atol=1e-15)
+
+
+def test_density_hands_gapped_spectrum_to_ladder():
+    # two well-separated atoms at small t: two support components, and the
+    # walk from the right edge must stop at the gap and hand off the rest
+    spec = make_spectrum([2.0] * 20 + [0.5] * 20)
+    params = ModelParams(p=40, n=400, t=0.05)
+    edge = find_right_edge(spec, params)
+    E = np.linspace(0.05, edge.lambda_plus - 1e-3, 160)
+    rho, info = density_diagnostics(spec, params, E)
+    walked = info["eta_used"] == 0.0
+    gap = (E > 0.9) & (E < 1.6)
+    assert walked.any() and (~walked).any()
+    assert np.all(~walked[E < 1.0]) and np.all(walked[E > 1.9])
+    assert np.all(rho[gap] < 1e-6)
+    assert np.any(rho[E < 0.9] > 0.1)
+    npt.assert_allclose(rho, _ladder_density(spec, params, E), rtol=1e-8, atol=1e-10)
 
 
 def test_density_nonnegative_above_edge(canonical_small):
