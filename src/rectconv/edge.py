@@ -8,12 +8,13 @@ eigenvalue.  Everything here works in real arithmetic on that ray.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .spectrum import ModelParams, Spectrum
+from .stieltjes import _phi
 
 __all__ = [
     "EdgeData",
@@ -50,48 +51,6 @@ class EdgeData:
     phi_second: float
 
 
-def _real_sums(d: np.ndarray, zeta, orders=(0,)):
-    """Real m_v and derivatives on the ray zeta > max(d)."""
-    z = np.asarray(zeta, dtype=float)
-    diff = d[:, None] - z.reshape(1, -1)  # strictly negative
-    out = []
-    for k in orders:
-        if k == 0:
-            out.append(np.mean(1.0 / diff, axis=0))
-        else:
-            fact = 1.0 if k == 1 else (2.0 if k == 2 else 6.0)
-            out.append(fact * np.mean(diff ** (-(k + 1)), axis=0))
-    return [o.reshape(z.shape) if z.ndim else float(o[0]) for o in out]
-
-
-def _phi_real(spec: Spectrum, params: ModelParams, zeta):
-    c, t = params.c_n, params.t
-    (mv,) = _real_sums(spec.values, zeta, (0,))
-    g = 1.0 - c * t * np.asarray(mv)
-    z = np.asarray(zeta, dtype=float)
-    out = z * g * g + (1.0 - c) * t * g
-    return float(out) if out.ndim == 0 else out
-
-
-def _phi_prime_real(spec: Spectrum, params: ModelParams, zeta):
-    c, t = params.c_n, params.t
-    mv, mv1 = _real_sums(spec.values, zeta, (0, 1))
-    g = 1.0 - c * t * np.asarray(mv)
-    g1 = -c * t * np.asarray(mv1)
-    z = np.asarray(zeta, dtype=float)
-    out = g * g + 2.0 * z * g * g1 + (1.0 - c) * t * g1
-    return float(out) if out.ndim == 0 else out
-
-
-def _phi_second_real(spec: Spectrum, params: ModelParams, zeta):
-    c, t = params.c_n, params.t
-    mv, mv1, mv2 = _real_sums(spec.values, zeta, (0, 1, 2))
-    g = 1.0 - c * t * mv
-    g1 = -c * t * mv1
-    g2 = -c * t * mv2
-    return 4.0 * g * g1 + 2.0 * zeta * g1 * g1 + 2.0 * zeta * g * g2 + (1.0 - c) * t * g2
-
-
 def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
     """Locate the right edge for t > 0 (t = 0 short-circuits to the top atom).
 
@@ -112,9 +71,14 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
             phi_second=0.0,
         )
 
+    d, c = spec.values, params.c_n
+
+    def slope(x: float) -> float:
+        return _phi(d, c, t, x, 1)[1]
+
     scale = max(1.0, d1)
     eps = 1e-8 * scale
-    while _phi_prime_real(spec, params, d1 + eps) >= 0.0:
+    while slope(d1 + eps) >= 0.0:
         eps /= 100.0
         if eps < _BRACKET_FLOOR * scale:
             raise EdgeBracketError(
@@ -122,41 +86,31 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
             )
     lo = d1 + eps
     width = eps
-    while _phi_prime_real(spec, params, d1 + width) < 0.0:
+    while slope(d1 + width) < 0.0:
         lo = d1 + width
         width *= 2.0
         if width > _BRACKET_LIMIT:
             raise EdgeBracketError("edge equation stays negative out to d1 + 1e6")
     hi = d1 + width
 
-    zeta_plus = brentq(
-        lambda x: _phi_prime_real(spec, params, x),
-        lo,
-        hi,
-        rtol=1e-12,
-        xtol=1e-15 * scale,
-    )
-    lambda_plus = _phi_real(spec, params, zeta_plus)
-    phi_second = float(_phi_second_real(spec, params, zeta_plus))
+    zeta_plus = brentq(slope, lo, hi, rtol=1e-12, xtol=1e-15 * scale)
+    lambda_plus, _, phi_second, _ = _phi(d, c, t, zeta_plus, 2)
     if not (lambda_plus > d1 and phi_second > 0.0):
         raise EdgeBracketError(
             f"degenerate edge solve: lambda={lambda_plus}, phi''={phi_second}"
         )
     edge = EdgeData(
-        lambda_plus=float(lambda_plus),
+        lambda_plus=lambda_plus,
         zeta_plus=float(zeta_plus),
         xi_plus=float(zeta_plus - d1),
         velocity=0.0,
         sqrt_coeff=0.0,
         phi_second=phi_second,
     )
-    return EdgeData(
-        lambda_plus=edge.lambda_plus,
-        zeta_plus=edge.zeta_plus,
-        xi_plus=edge.xi_plus,
+    return replace(
+        edge,
         velocity=edge_velocity(spec, params, edge),
         sqrt_coeff=sqrt_coefficient(spec, params, edge),
-        phi_second=phi_second,
     )
 
 
@@ -166,7 +120,7 @@ def edge_velocity(spec: Spectrum, params: ModelParams, edge: EdgeData) -> float:
     if t == 0.0:
         return float("nan")
     zp, lp = edge.zeta_plus, edge.lambda_plus
-    (mv,) = _real_sums(spec.values, zp, (0,))
+    mv = _phi(spec.values, c, t, zp)[-1]
     root = np.sqrt(t * t * (1.0 - c) ** 2 + 4.0 * zp * lp)
     return float(
         ((1.0 - c) / (2.0 * zp) - c * mv) * root - (1.0 - c) ** 2 * t / (2.0 * zp)
@@ -204,7 +158,7 @@ def outlier_location(spec: Spectrum, params: ModelParams, edge: EdgeData, d: flo
         raise ValueError(f"atom {d} is not above the detachment threshold {thr}")
     if params.t == 0.0:
         return float(d)
-    return float(_phi_real(spec, params, d))
+    return _phi(spec.values, params.c_n, params.t, float(d))[0]
 
 
 def edge_report_json(edge: EdgeData, spec: Spectrum, params: ModelParams) -> str:

@@ -9,7 +9,6 @@ to keep that bijection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +26,10 @@ __all__ = [
     "assemble_Wt",
     "singular_values_sq",
     "run_trial",
-    "empirical_stieltjes",
     "pi_apply",
     "pi_quadratic_form",
     "pi_split_norm",
     "resolvent_quadratic_form",
-    "write_trial",
-    "read_trial",
 ]
 
 NOISE_KINDS = ("gaussian", "rademacher", "trinary")
@@ -146,12 +142,6 @@ def run_trial(
     return TrialRecord(seed=seed, kind=kind, singular_values_sq=singular_values_sq(Y))
 
 
-def empirical_stieltjes(record: TrialRecord, z: complex) -> complex:
-    """(1/p) sum_k 1/(lambda_k - z) from the trial's eigenvalues."""
-    lam = record.singular_values_sq
-    return complex(np.mean(1.0 / (lam - z)))
-
-
 # ---------------------------------------------------------------------------
 # deterministic equivalent
 
@@ -239,41 +229,3 @@ def resolvent_quadratic_form(record: TrialRecord, z: complex, u: np.ndarray, v: 
     qf = complex(core.sum())
     qf -= (u[p:] @ v[p:] - a2 @ b2) / zc
     return qf
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def write_trial(path_csv: str, record: TrialRecord, params: ModelParams) -> None:
-    """Eigenvalue CSV plus a JSON sidecar naming the generating draw."""
-    with open(path_csv, "w") as fh:
-        fh.write("lambda\n")
-        for lam in record.singular_values_sq:
-            fh.write(f"{lam:.17g}\n")
-    sidecar = {
-        "seed": record.seed,
-        "p": params.p,
-        "n": params.n,
-        "t": params.t,
-        "kind": record.kind,
-    }
-    with open(path_csv + ".json", "w") as fh:
-        json.dump(sidecar, fh)
-        fh.write("\n")
-
-
-def read_trial(path_csv: str):
-    """(TrialRecord, ModelParams) back from a CSV/sidecar pair."""
-    with open(path_csv) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "lambda":
-        raise ValueError("malformed trial CSV header")
-    values = np.array([float(x) for x in lines[1:]])
-    with open(path_csv + ".json") as fh:
-        side = json.load(fh)
-    params = ModelParams(p=int(side["p"]), n=int(side["n"]), t=float(side["t"]))
-    record = TrialRecord(
-        seed=int(side["seed"]), kind=str(side["kind"]), singular_values_sq=values
-    )
-    return record, params

@@ -17,10 +17,11 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from .edge import EdgeData, find_right_edge, outlier_location, bbp_threshold
-from .ensemble import TrialRecord, derive_seed, pi_quadratic_form, pi_split_norm, resolvent_quadratic_form, run_trial
+from .ensemble import NOISE_KINDS, TrialRecord, derive_seed, pi_quadratic_form, pi_split_norm, resolvent_quadratic_form, run_trial
 from .freeconv import ConvolutionPoint, SolverConfig, solve_many
 from .quantiles import _locations, classical_locations, eta_lower, in_domain
 from .spectrum import ModelParams, Spectrum, make_spectrum
+from .stieltjes import _atom_sums
 
 __all__ = [
     "Thresholds",
@@ -81,7 +82,7 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for kind in self.kinds:
-            if kind not in ("gaussian", "rademacher", "trinary"):
+            if kind not in NOISE_KINDS:
                 raise ValueError(f"unknown noise kind {kind!r}")
 
 
@@ -368,7 +369,7 @@ def local_law_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     per_trial = []
     for i, rec in enumerate(records):
         lam = rec.singular_values_sq
-        m_hat = np.mean(1.0 / (lam[:, None] - z_arr[None, :]), axis=0)
+        m_hat = _atom_sums(lam, z_arr, 0)[0]
         avg = np.abs(m_hat - m_theory) * n * z_arr.imag
         g_uv = np.array([resolvent_quadratic_form(rec, z, u, v) for z in z_arr])
         aniso = np.abs(g_uv - pi_uv) / denom

@@ -32,14 +32,13 @@ extrapolation.  Energies at or above the edge have density exactly 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .edge import EdgeBracketError, find_right_edge
 from .spectrum import ModelParams, Spectrum
-from .stieltjes import m_v, m_v_derivative
+from .stieltjes import _atom_sums, _check_distance, _phi, m_v
 
 __all__ = [
     "SolverConfig",
@@ -55,7 +54,6 @@ __all__ = [
     "density_diagnostics",
     "support_scan",
     "write_density_csv",
-    "scan_to_json",
 ]
 
 # Two-level extrapolation for the real-axis points the edge walk leaves.
@@ -137,30 +135,7 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# raw array kernels (no atom-collision guard; only used off the real axis)
-
-_CHUNK = 2_000_000
-
-
-def _raw_sums(d: np.ndarray, zeta: np.ndarray, with_derivative: bool = False):
-    """mean 1/(d - zeta) and optionally mean (d - zeta)^-2, chunked over points."""
-    k = zeta.shape[0]
-    mv = np.empty(k, dtype=complex)
-    mv1 = np.empty(k, dtype=complex) if with_derivative else None
-    stride = max(1, _CHUNK // max(1, d.shape[0]))
-    for lo in range(0, k, stride):
-        hi = min(k, lo + stride)
-        inv = 1.0 / (d[:, None] - zeta[None, lo:hi])
-        # sum / count is the arithmetic of mean(), without its per-call overhead
-        mv[lo:hi] = inv.sum(axis=0) / d.shape[0]
-        if with_derivative:
-            mv1[lo:hi] = (inv * inv).sum(axis=0) / d.shape[0]
-    return mv, mv1
-
-
-def _phi_raw(d: np.ndarray, c: float, t: float, zeta: np.ndarray) -> np.ndarray:
-    g = 1.0 - c * t * _raw_sums(d, zeta)[0]
-    return zeta * g * g + (1.0 - c) * t * g
+# solver kernels (no atom-collision guard; only used off the real axis)
 
 
 def _branch_sqrt(w: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -172,7 +147,7 @@ def _branch_sqrt(w: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def _F_eval(d, c, t, z_l, zeta, s_ref):
     """F, its sqrt factor on the tracked branch, and m_v at zeta."""
-    mv = _raw_sums(d, zeta)[0]
+    mv = _atom_sums(d, zeta, 0)[0]
     s = _branch_sqrt(t * t * (1.0 - c) ** 2 + 4.0 * zeta * z_l, s_ref)
     F = 1.0 + (t * (1.0 - c) - s) / (2.0 * zeta) - c * t * mv
     return F, s, mv
@@ -187,27 +162,27 @@ def _fp_map(d, c, t, z_l, m):
 def _fp_iterate(d, c, t, z_l, m, alpha, n_steps, tol):
     """Damped fixed-point sweeps on m with per-point adaptive damping.
 
-    Returns (m, steps_used, converged mask, last update size).
+    Returns (m, per-point steps, converged mask, last update size); a
+    point counts the sweeps it entered unconverged.
     """
     k = m.shape[0]
     alpha = np.full(k, alpha)
     delta_prev = np.full(k, np.inf)
     done = np.zeros(k, dtype=bool)
-    steps = 0
+    steps = np.zeros(k, dtype=int)
     for _ in range(n_steps):
+        steps += ~done
         f = _fp_map(d, c, t, z_l, m)
         delta = np.abs(f - m)
         target = tol * np.maximum(1.0, np.abs(m))
         done = delta <= target
         if done.all():
             m = np.where(done, m, (1.0 - alpha) * m + alpha * f)
-            steps += 1
             break
         grow = delta > delta_prev
         alpha = np.where(grow, np.maximum(0.05, alpha * 0.5), np.minimum(1.0, alpha * 1.2))
         m = (1.0 - alpha) * m + alpha * f
         delta_prev = delta
-        steps += 1
     return m, steps, done, delta_prev
 
 
@@ -219,17 +194,19 @@ def _zeta_from_m(c, t, z_l, m):
 def _newton_level(d, c, t, z_l, zeta, s_ref, tol, max_iter):
     """Newton on F(z_l, .) = 0 for every point, with backtracking.
 
-    Returns updated (zeta, s_ref, mv, iterations, unconverged mask).
+    Returns updated (zeta, s_ref, mv, per-point iterations, unconverged
+    mask); a point counts the steps it entered neither converged nor stuck.
     """
     F, s, mv = _F_eval(d, c, t, z_l, zeta, s_ref)
     absF = np.abs(F)
-    used = 0
+    used = np.zeros(zeta.shape[0], dtype=int)
     stuck = np.zeros(zeta.shape[0], dtype=bool)
     for _ in range(max_iter):
         done = absF <= tol
         if bool(np.all(done | stuck)):
             break
-        mv1 = _raw_sums(d, zeta, with_derivative=True)[1]
+        used += ~(done | stuck)
+        mv1 = _atom_sums(d, zeta, 1)[1]
         Fz = (
             -z_l / (s * zeta)
             - (t * (1.0 - c) - s) / (2.0 * zeta * zeta)
@@ -258,7 +235,6 @@ def _newton_level(d, c, t, z_l, zeta, s_ref, tol, max_iter):
         mv = np.where(improved, mvc, mv)
         absF = np.abs(F)
         stuck = stuck | (~improved & ~done)
-        used += 1
     return zeta, s, mv, used, (absF > tol)
 
 
@@ -323,7 +299,8 @@ def _solve_grid(spec, params, z, cfg, method):
                 d, c, t, z_l, zeta, s_ref, cfg.tolerance * 0.1, budget
             )
             iters += used
-            budget -= used
+            # the budget is batch-wide: some point was active in every step
+            budget -= int(used.max())
             if not bad.any() or method == "newton" or budget <= 0:
                 break
             # recovery: damped fixed-point on the stalled points only
@@ -331,7 +308,7 @@ def _solve_grid(spec, params, z, cfg, method):
             m_new, used_fp, _, _ = _fp_iterate(
                 d, c, t, z_l[bad], m_bad[bad], cfg.damping, 50, fp_tol
             )
-            iters += used_fp
+            iters[bad] += used_fp
             zeta_bad, s_bad = _zeta_from_m(c, t, z_l[bad], m_new)
             zeta = zeta.copy()
             s_ref = s_ref.copy()
@@ -343,7 +320,7 @@ def _solve_grid(spec, params, z, cfg, method):
         # so polish until the residual contract itself is met
         for _ in range(12):
             zeta, s_ref = _zeta_from_m(c, t, z, m)
-            residual = np.abs(_phi_raw(d, c, t, zeta) - z)
+            residual = np.abs(_phi(d, c, t, zeta)[0] - z)
             if np.all(residual <= 0.9 * cfg.tolerance):
                 break
             m, used, _, _ = _fp_iterate(
@@ -352,14 +329,15 @@ def _solve_grid(spec, params, z, cfg, method):
             iters += used
         b = 1.0 + c * t * m
     else:
-        residual = np.abs(_phi_raw(d, c, t, zeta) - z)
+        ph, mv = _phi(d, c, t, zeta)
+        residual = np.abs(ph - z)
         if np.any(residual > cfg.tolerance):
             zeta, s_ref, mv, used, _ = _newton_level(
                 d, c, t, z, zeta, s_ref, 1e-15, 30
             )
             iters += used
-            residual = np.abs(_phi_raw(d, c, t, zeta) - z)
-        mv = _raw_sums(d, zeta)[0]
+            ph, mv = _phi(d, c, t, zeta)
+            residual = np.abs(ph - z)
         m = mv / (1.0 - c * t * mv)
         b = 1.0 + c * t * m
 
@@ -380,29 +358,26 @@ def _solve_grid(spec, params, z, cfg, method):
 
 def phi(spec: Spectrum, params: ModelParams, zeta):
     """Inverse subordination map Phi(zeta); reduces to the identity at t = 0."""
-    c, t = params.c_n, params.t
-    if t == 0.0:
-        z = np.asarray(zeta, dtype=complex)
-        return complex(z) if z.ndim == 0 else z.copy()
-    g = 1.0 - c * t * m_v(spec, zeta)
-    return zeta * g * g + (1.0 - c) * t * g
+    z = np.asarray(zeta, dtype=complex)
+    if params.t == 0.0:
+        out = z.copy()
+    else:
+        _check_distance(spec, z)
+        out = _phi(spec.values, params.c_n, params.t, z)[0]
+    return complex(out) if z.ndim == 0 else out
 
 
 def phi_derivative(spec: Spectrum, params: ModelParams, zeta, order: int = 1):
     """First or second zeta-derivative of the inverse subordination map."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    c, t = params.c_n, params.t
-    if t == 0.0:
-        shape = np.asarray(zeta, dtype=complex)
-        out = np.ones_like(shape) if order == 1 else np.zeros_like(shape)
-        return complex(out) if shape.ndim == 0 else out
-    g = 1.0 - c * t * m_v(spec, zeta)
-    g1 = -c * t * m_v_derivative(spec, zeta, 1)
-    if order == 1:
-        return g * g + 2.0 * zeta * g * g1 + (1.0 - c) * t * g1
-    g2 = -c * t * m_v_derivative(spec, zeta, 2)
-    return 4.0 * g * g1 + 2.0 * zeta * g1 * g1 + 2.0 * zeta * g * g2 + (1.0 - c) * t * g2
+    z = np.asarray(zeta, dtype=complex)
+    if params.t == 0.0:
+        out = np.ones_like(z) if order == 1 else np.zeros_like(z)
+    else:
+        _check_distance(spec, z)
+        out = _phi(spec.values, params.c_n, params.t, z, order)[order]
+    return complex(out) if z.ndim == 0 else out
 
 
 def solve_point(
@@ -450,14 +425,6 @@ def solve_many(
     return points
 
 
-def _phi_slope(d, c, t, zeta):
-    """Phi, Phi' and m_v at one point zeta, from one atom-sum pass."""
-    mv, mv1 = (complex(x[0]) for x in _raw_sums(d, np.array([zeta]), with_derivative=True))
-    g = 1.0 - c * t * mv
-    g1 = -c * t * mv1
-    return zeta * g * g + (1.0 - c) * t * g, g * g + 2.0 * zeta * g * g1 + (1.0 - c) * t * g1, mv
-
-
 def _walk_newton(d, c, t, E, zeta, tol):
     """Newton on Phi(zeta) = E from a seed, kept in Im zeta > 0.
 
@@ -470,7 +437,7 @@ def _walk_newton(d, c, t, E, zeta, tol):
     prev = np.inf
     best = None
     for steps in range(_WALK_NEWTON + 1):
-        ph, dph, mv = _phi_slope(d, c, t, zeta)
+        ph, dph, mv = _phi(d, c, t, zeta, 1)
         F = ph - E
         r = abs(F)
         if r <= tol:
@@ -553,14 +520,16 @@ def _ladder_density(spec, params, E, cfg):
     return np.maximum(rho, 0.0), np.maximum(m_hi[4], m_lo[4]), m_hi[5] + m_lo[5]
 
 
-def _density_raw(spec, params, E, cfg):
-    """Density values plus per-point solver diagnostics on an E-array.
+def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfig | None = None):
+    """(rho, diagnostics) on an E-array: per point eta_used, residual and
+    iteration count.
 
     Points reached by the edge walk report eta_used = 0, their real-axis
     residual |Phi(zeta) - E| and the Newton steps of the walk segment that
     ended at them; energies at or above lambda_plus report zeros; every
     other point carries the ladder's values at the smaller eta.
     """
+    cfg = cfg or SolverConfig()
     E = np.asarray(E, dtype=float).ravel()
     c, t = params.c_n, params.t
     if t == 0.0 and np.any(E <= 0):
@@ -598,20 +567,11 @@ def _density_raw(spec, params, E, cfg):
 def density(spec: Spectrum, params: ModelParams, E: float, cfg: SolverConfig | None = None) -> float:
     """Spectral density at real energy E: the real-axis edge walk where it
     reaches, the extrapolated eta ladder elsewhere."""
-    cfg = cfg or SolverConfig()
-    return float(_density_raw(spec, params, [E], cfg)[0][0])
+    return float(density_diagnostics(spec, params, [E], cfg)[0][0])
 
 
 def density_curve(spec: Spectrum, params: ModelParams, E, cfg: SolverConfig | None = None) -> np.ndarray:
-    cfg = cfg or SolverConfig()
-    return _density_raw(spec, params, E, cfg)[0]
-
-
-def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfig | None = None):
-    """(rho, diagnostics) for CSV export: per point eta_used (0 on the real
-    axis, else the ladder's smaller eta), residual and iteration count."""
-    cfg = cfg or SolverConfig()
-    return _density_raw(spec, params, E, cfg)
+    return density_diagnostics(spec, params, E, cfg)[0]
 
 
 def support_scan(
@@ -675,7 +635,3 @@ def write_density_csv(path, spec: Spectrum, params: ModelParams, E, cfg: SolverC
                 f"{E[j]:.17g},{rho[j]:.17g},{diag['eta_used'][j]:.17g},"
                 f"{diag['residual'][j]:.17g},{int(diag['iterations'][j])}\n"
             )
-
-
-def scan_to_json(scan: SupportScan) -> str:
-    return json.dumps({"intervals": [[a, b] for a, b in scan.intervals]})

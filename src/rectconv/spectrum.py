@@ -7,7 +7,6 @@ the immutable containers defined here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,14 +14,9 @@ import numpy as np
 __all__ = [
     "Spectrum",
     "ModelParams",
-    "RegularityReport",
     "make_spectrum",
     "canonical_sqrt_spectrum",
-    "regularity_check",
-    "spectrum_to_text",
     "spectrum_from_text",
-    "spectrum_to_json",
-    "spectrum_from_json",
 ]
 
 
@@ -63,25 +57,6 @@ class ModelParams:
         return self.p / self.n
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Measured edge-regularity ratios for a spectrum at scale eta_star.
-
-    The below-edge ratios compare Im m_V(E + i eta) against
-    sqrt(|edge - E| + eta); the above-edge ratios compare against
-    eta / (|edge - E| + eta).  pass_ requires every ratio to sit inside
-    [1/C_budget, C_budget] and the gross edge bounds to hold.
-    """
-
-    eta_star: float
-    ratio_low_inside: float
-    ratio_high_inside: float
-    ratio_low_outside: float
-    ratio_high_outside: float
-    edge_bounds_ok: bool
-    pass_: bool
-
-
 def make_spectrum(values) -> Spectrum:
     """Validate and sort eigenvalues into a Spectrum.
 
@@ -114,98 +89,6 @@ def canonical_sqrt_spectrum(p: int, edge: float) -> Spectrum:
     return make_spectrum(edge * (1.0 - (i / p) ** (2.0 / 3.0)))
 
 
-def _im_stieltjes_grid(d: np.ndarray, E: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    # Im of (1/p) sum 1/(d - E - i eta) on an outer E x eta grid.
-    diff = d[:, None, None] - E[None, :, None]
-    return np.mean(eta[None, None, :] / (diff**2 + eta[None, None, :] ** 2), axis=0)
-
-
-def regularity_check(spec: Spectrum, eta_star: float, C_budget: float) -> RegularityReport:
-    """Probe square-root edge behavior of the bare transform above scale eta_star.
-
-    Evaluates Im m_V on log-spaced eta grids (40 points per decade, capped
-    at 10) over E-windows of half-width top/4 on both sides of the top
-    eigenvalue.  Below the edge the eta grid starts at
-    eta_star + sqrt(eta_star * |edge - E|); above it starts at eta_star.
-    The budget plays the role of the regularity constant: all four extremal
-    ratios must land in [1/C_budget, C_budget].
-    """
-    if not (eta_star > 0 and eta_star < 10):
-        raise ValueError("eta_star must lie in (0, 10)")
-    if not (C_budget > 1):
-        raise ValueError("C_budget must exceed 1")
-    d = spec.values
-    lam = spec.top
-    if lam <= 0:
-        raise ValueError("regularity probe needs a positive top eigenvalue")
-    half_width = lam / 4.0
-    n_E = 60
-
-    def eta_grid(eta_min: float) -> np.ndarray:
-        n_pts = max(2, int(np.ceil(40 * np.log10(10.0 / eta_min))) + 1)
-        return np.logspace(np.log10(eta_min), 1.0, n_pts)
-
-    # Below the edge: ratio Im m_V / sqrt(kappa + eta), with the eta floor
-    # rising as sqrt(eta_star * kappa) away from the edge.
-    lo, hi = np.inf, -np.inf
-    for E in np.linspace(lam - half_width, lam, n_E):
-        kappa = abs(lam - E)
-        etas = eta_grid(eta_star + np.sqrt(eta_star * kappa))
-        ratios = _im_stieltjes_grid(d, np.array([E]), etas)[0] / np.sqrt(kappa + etas)
-        lo = min(lo, ratios.min())
-        hi = max(hi, ratios.max())
-    ratio_low_inside, ratio_high_inside = float(lo), float(hi)
-
-    # Above the edge: ratio Im m_V * (kappa + eta) / eta.
-    lo, hi = np.inf, -np.inf
-    for E in np.linspace(lam, lam + half_width, n_E):
-        kappa = abs(lam - E)
-        etas = eta_grid(eta_star)
-        ratios = _im_stieltjes_grid(d, np.array([E]), etas)[0] * (kappa + etas) / etas
-        lo = min(lo, ratios.min())
-        hi = max(hi, ratios.max())
-    ratio_low_outside, ratio_high_outside = float(lo), float(hi)
-
-    c_v = lam / 4.0
-    edge_bounds_ok = bool(
-        2.0 * c_v <= lam <= C_budget / 2.0 and spec.top <= float(spec.p) ** C_budget
-    )
-    inside_budget = all(
-        1.0 / C_budget <= r <= C_budget
-        for r in (
-            ratio_low_inside,
-            ratio_high_inside,
-            ratio_low_outside,
-            ratio_high_outside,
-        )
-    )
-    return RegularityReport(
-        eta_star=eta_star,
-        ratio_low_inside=ratio_low_inside,
-        ratio_high_inside=ratio_high_inside,
-        ratio_low_outside=ratio_low_outside,
-        ratio_high_outside=ratio_high_outside,
-        edge_bounds_ok=edge_bounds_ok,
-        pass_=bool(inside_budget and edge_bounds_ok),
-    )
-
-
-def spectrum_to_text(spec: Spectrum) -> str:
-    """One eigenvalue per line, 17 significant digits."""
-    return "\n".join(f"{v:.17g}" for v in spec.values) + "\n"
-
-
 def spectrum_from_text(text: str) -> Spectrum:
     vals = [float(line) for line in text.split("\n") if line.strip()]
     return make_spectrum(vals)
-
-
-def spectrum_to_json(spec: Spectrum) -> str:
-    return json.dumps({"values": [float(v) for v in spec.values]})
-
-
-def spectrum_from_json(text: str) -> Spectrum:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "values" not in obj:
-        raise ValueError('spectrum JSON must be an object with a "values" array')
-    return make_spectrum(obj["values"])

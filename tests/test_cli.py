@@ -137,9 +137,10 @@ def test_threads_do_not_change_output(tmp_path, capsys):
         ]
     )
     capsys.readouterr()
-    a = (tmp_path / "t1" / "rigidity_trials.csv").read_bytes()
-    b = (tmp_path / "t4" / "rigidity_trials.csv").read_bytes()
-    assert a == b
+    for name in ("rigidity.json", "rigidity_trials.csv"):
+        a = (tmp_path / "t1" / name).read_bytes()
+        b = (tmp_path / "t4" / name).read_bytes()
+        assert a == b
 
 
 def test_threads_env_honored(tmp_path, capsys, monkeypatch):
@@ -150,9 +151,10 @@ def test_threads_env_honored(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("RECTCONV_THREADS")
     main(["experiment", "rigidity", "--config", cfg, "--out", str(tmp_path / "n")])
     capsys.readouterr()
-    a = (tmp_path / "e" / "rigidity_trials.csv").read_bytes()
-    b = (tmp_path / "n" / "rigidity_trials.csv").read_bytes()
-    assert a == b
+    for name in ("rigidity.json", "rigidity_trials.csv"):
+        a = (tmp_path / "e" / name).read_bytes()
+        b = (tmp_path / "n" / name).read_bytes()
+        assert a == b
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,16 @@ from rectconv import (
     NOISE_KINDS,
     assemble_Wt,
     derive_seed,
-    empirical_stieltjes,
     make_spectrum,
     noise_entry,
     pi_apply,
     pi_quadratic_form,
     pi_split_norm,
-    read_trial,
     resolvent_quadratic_form,
     run_trial,
     sample_noise,
     singular_values_sq,
     solve_point,
-    write_trial,
 )
 
 
@@ -166,15 +163,6 @@ def test_run_trial_without_vectors():
     assert rec.kind == "trinary" and rec.seed == 3
 
 
-def test_empirical_stieltjes_formula():
-    spec = make_spectrum([0.0] * 8)
-    params = ModelParams(p=8, n=12, t=1.0)
-    rec = run_trial(spec, params, "gaussian", seed=6)
-    z = 1.5 + 0.3j
-    manual = np.mean(1.0 / (rec.singular_values_sq - z))
-    assert empirical_stieltjes(rec, z) == pytest.approx(manual, rel=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # deterministic equivalent
 
@@ -292,7 +280,7 @@ def test_resolvent_trace_matches_empirical_stieltjes():
         e = np.zeros(30)
         e[i] = 1.0
         total += resolvent_quadratic_form(rec, z, e, e)
-    assert total / 12 == pytest.approx(empirical_stieltjes(rec, z), rel=1e-12)
+    assert total / 12 == pytest.approx(np.mean(1.0 / (rec.singular_values_sq - z)), rel=1e-12)
 
 
 def test_resolvent_requires_vectors_and_complex_z():
@@ -323,40 +311,3 @@ def test_resolvent_close_to_pi_at_moderate_size():
         g = resolvent_quadratic_form(rec, point.z, u, u)
         q = pi_quadratic_form(spec, params, point, u, u)
         assert abs(g - q) < 0.05
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def test_trial_roundtrip(tmp_path):
-    spec = make_spectrum([1.0, 0.5, 0.0, 0.0])
-    params = ModelParams(p=4, n=7, t=0.8)
-    rec = run_trial(spec, params, "rademacher", seed=99)
-    path = str(tmp_path / "trial.csv")
-    write_trial(path, rec, params)
-    back, back_params = read_trial(path)
-    assert back.seed == 99 and back.kind == "rademacher"
-    assert back_params == params
-    assert np.array_equal(back.singular_values_sq, rec.singular_values_sq)
-
-
-def test_write_trial_deterministic_bytes(tmp_path):
-    spec = make_spectrum([0.0] * 3)
-    params = ModelParams(p=3, n=5, t=0.2)
-    rec = run_trial(spec, params, "gaussian", seed=1)
-    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    write_trial(a, rec, params)
-    write_trial(b, rec, params)
-    assert open(a, "rb").read() == open(b, "rb").read()
-    assert open(a + ".json", "rb").read() == open(b + ".json", "rb").read()
-
-
-def test_read_trial_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("eigen\n1.0\n")
-    (tmp_path / "bad.csv.json").write_text(
-        '{"seed": 1, "p": 1, "n": 2, "t": 0.5, "kind": "gaussian"}\n'
-    )
-    with pytest.raises(ValueError):
-        read_trial(str(path))

@@ -19,7 +19,6 @@ from rectconv import (
     m_v,
     phi,
     phi_derivative,
-    scan_to_json,
     solve_many,
     solve_point,
     support_scan,
@@ -97,6 +96,17 @@ def test_subordination_invariants_on_grid(canonical_small):
         # underlined transform bookkeeping
         m_under = params.c_n * pt.m - (1.0 - params.c_n) / pt.z
         npt.assert_allclose(m_under, pt.m_under, rtol=1e-12)
+
+
+def test_iterations_counted_per_point():
+    # a far point converges in fewer steps than one near the spectrum; the
+    # batch must not hand every point the count of its slowest member
+    n = 400
+    spec = canonical_sqrt_spectrum(200, 1.0)
+    params = ModelParams(p=200, n=n, t=n ** (-1.0 / 6.0))
+    far, near = solve_many(spec, params, [5.0 + 0.01j, 1.9 + 0.01j])
+    assert far.iterations < near.iterations
+    assert far.iterations == solve_point(spec, params, 5.0 + 0.01j).iterations
 
 
 def test_phi_inverts_subordination(canonical_small):
@@ -266,13 +276,6 @@ def test_support_scan_requires_positive_t():
     spec = make_spectrum([1.0, 2.0])
     with pytest.raises(ValueError):
         support_scan(spec, ModelParams(p=2, n=4, t=0.0), 0.0, 3.0, 0.1)
-
-
-def test_scan_to_json_shape(mp_unit):
-    spec, params = mp_unit
-    scan = support_scan(spec, params, -0.5, 5.0, 0.1)
-    blob = scan_to_json(scan)
-    assert blob.startswith('{"intervals"')
 
 
 def test_dilation_law(canonical_small):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,11 +6,7 @@ from rectconv import (
     ModelParams,
     canonical_sqrt_spectrum,
     make_spectrum,
-    regularity_check,
-    spectrum_from_json,
     spectrum_from_text,
-    spectrum_to_json,
-    spectrum_to_text,
 )
 
 
@@ -77,50 +71,9 @@ def test_canonical_sqrt_spectrum_rejects_bad_args():
         canonical_sqrt_spectrum(10, 0.0)
 
 
-def test_regularity_canonical_fixture_frozen_pairs():
-    # calibrated once against the exact finite sum and frozen: the p = 500
-    # fixture resolves its continuum density only above the atom spacing
-    # ~ p^(-2/3), and the eta <= 10 endpoint alone forces a budget >= 32
-    spec = canonical_sqrt_spectrum(500, 1.0)
-    good = regularity_check(spec, 1e-2, 40.0)
-    assert good.pass_
-    assert good.edge_bounds_ok
-    bad = regularity_check(spec, 1e-3, 10.0)
-    assert not bad.pass_
-
-
-def test_regularity_report_ratio_ordering():
-    spec = canonical_sqrt_spectrum(500, 1.0)
-    rep = regularity_check(spec, 1e-2, 40.0)
-    assert 0 < rep.ratio_low_inside <= rep.ratio_high_inside
-    assert 0 < rep.ratio_low_outside <= rep.ratio_high_outside
-
-
-def test_regularity_check_rejects_bad_args():
-    spec = canonical_sqrt_spectrum(50, 1.0)
-    with pytest.raises(ValueError):
-        regularity_check(spec, 0.0, 40.0)
-    with pytest.raises(ValueError):
-        regularity_check(spec, 1e-3, 0.5)
-
-
 def test_text_round_trip_exact():
     spec = make_spectrum([1.0 / 3.0, np.pi, 1e-17, 2.0])
-    text = spectrum_to_text(spec)
+    # the CLI's {"file": ...} spectrum: one 17-digit eigenvalue per line
+    text = "\n".join(f"{v:.17g}" for v in spec.values) + "\n"
     back = spectrum_from_text(text)
     npt.assert_array_equal(back.values, spec.values)
-
-
-def test_json_round_trip_exact():
-    spec = make_spectrum(np.random.default_rng(3).uniform(0, 5, 40))
-    blob = spectrum_to_json(spec)
-    parsed = json.loads(blob)
-    assert set(parsed) == {"values"}
-    back = spectrum_from_json(blob)
-    npt.assert_array_equal(back.values, spec.values)
-
-
-def test_serialization_deterministic():
-    spec = make_spectrum(np.random.default_rng(4).uniform(0, 5, 40))
-    assert spectrum_to_text(spec) == spectrum_to_text(spec)
-    assert spectrum_to_json(spec) == spectrum_to_json(spec)

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from rectconv import AtomCollisionError, m_v, m_v_derivative, make_spectrum
+from rectconv.stieltjes import _atom_sums
 
 
 def test_single_atom_closed_form():
@@ -75,3 +76,22 @@ def test_real_axis_outside_support_is_real_and_monotone():
     vals = np.real(m_v(spec, xs + 0j))
     assert np.all(np.imag(m_v(spec, xs + 0j)) == 0)
     assert np.all(np.diff(vals) > 0)  # m_v is increasing to the right of the atoms
+
+
+def test_atom_sums_chunked_match_one_shot():
+    # p = 2,000 atoms make the chunk stride 1,000 points, so 2,500 points
+    # take three chunks, the last one partial
+    rng = np.random.default_rng(14)
+    d = np.sort(rng.uniform(0, 4, 2000))[::-1]
+    zeta = rng.uniform(-2, 6, 2500) + 1j * np.exp(rng.uniform(np.log(1e-3), np.log(2), 2500))
+    sums = _atom_sums(d, zeta, 2)
+    assert sums.shape == (3, 2500) and sums.dtype == complex
+    inv = 1.0 / (d[:, None] - zeta[None, :])
+    for k, power in enumerate((inv, inv * inv, inv * inv * inv)):
+        npt.assert_allclose(sums[k], power.mean(axis=0), rtol=1e-14)
+    # on the ray zeta > max(d) the real evaluation is the complex one at Im 0
+    x = d[0] + np.linspace(1e-3, 5.0, 2500)
+    real = _atom_sums(d, x, 2)
+    assert real.dtype == float
+    npt.assert_allclose(real, _atom_sums(d, x + 0j, 2).real, rtol=1e-14)
+    assert np.all(_atom_sums(d, x + 0j, 2).imag == 0)
