@@ -116,9 +116,15 @@ def assemble_Wt(spec: Spectrum, params: ModelParams, X: np.ndarray) -> np.ndarra
 
 
 def singular_values_sq(Y: np.ndarray) -> np.ndarray:
-    """Eigenvalues of Y Y^T, descending, via singular values (never the Gram matrix)."""
-    s = np.linalg.svd(Y, compute_uv=False)
-    return s * s
+    """Eigenvalues of Y Y^T, descending and clipped at 0, from the Gram matrix.
+
+    Forming Y Y^T costs each eigenvalue an absolute error of about
+    (p + n) * eps * lambda_1, which is a small relative error only for the
+    top of the spectrum; every caller reads the top eigenvalues alone.
+    The clip keeps rounding from turning an eigenvalue at 0 (a rank-deficient
+    Y) negative.
+    """
+    return np.maximum(np.linalg.eigvalsh(Y @ Y.T)[::-1], 0.0)
 
 
 def run_trial(

@@ -597,9 +597,9 @@ def support_scan(
     rho = density_curve(spec, params, E, cfg)
     above = rho > _SUPPORT_THRESHOLD
 
-    def refine(a: float, b: float) -> float:
-        # density - threshold changes sign across [a, b]
-        fa = density(spec, params, a, cfg) - _SUPPORT_THRESHOLD
+    def refine(a: float, b: float, fa: float) -> float:
+        # density - threshold changes sign across [a, b]; fa is its value
+        # at a, already known from the scan grid
         while b - a > step / 100.0:
             mid = 0.5 * (a + b)
             fm = density(spec, params, mid, cfg) - _SUPPORT_THRESHOLD
@@ -616,10 +616,10 @@ def support_scan(
         if not above[k]:
             k += 1
             continue
-        start = E[k] if k == 0 else refine(E[k - 1], E[k])
+        start = E[k] if k == 0 else refine(E[k - 1], E[k], rho[k - 1] - _SUPPORT_THRESHOLD)
         while k + 1 < n_pts and above[k + 1]:
             k += 1
-        end = E[k] if k == n_pts - 1 else refine(E[k], E[k + 1])
+        end = E[k] if k == n_pts - 1 else refine(E[k], E[k + 1], rho[k] - _SUPPORT_THRESHOLD)
         intervals.append((float(start), float(end)))
         k += 1
     return SupportScan(intervals=tuple(intervals), threshold=_SUPPORT_THRESHOLD, step=step)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.optimize import brentq
 
 from .edge import EdgeData
@@ -61,7 +61,7 @@ def _locations(spec, params, edge, targets, cfg):
     """Locations with right mass `targets` under the density, in target order.
 
     A zero target is the edge itself.  The cumulative-mass spline covers
-    the largest target and is solved once per target; the returned error
+    the largest target and is solved near each target; the returned error
     is a grid-halving estimate of the integration error, against which
     each location's defining identity can be re-checked.
     """
@@ -92,13 +92,20 @@ def _locations(spec, params, edge, targets, cfg):
             f"window exhausted: mass {float(C(u_max)):.6g} < requested {need:.6g}"
         )
 
+    # C is nondecreasing, so the first root of C = tau lies in the piece
+    # ending at the first breakpoint where C reaches tau; solving that piece
+    # and its two neighbours finds the same smallest root as solving all
+    knots = C(C.x)
     x = np.empty(targets.size)
     u_roots = np.zeros(targets.size)
     for idx, tau in enumerate(targets):
         if tau == 0:
             x[idx] = lam
             continue
-        roots = C.solve(tau, extrapolate=False)
+        i = int(np.searchsorted(knots, tau))
+        lo = max(i - 2, 0)
+        near = PPoly.construct_fast(C.c[:, lo : i + 1], C.x[lo : i + 2])
+        roots = near.solve(tau, extrapolate=False)
         roots = roots[(roots >= 0) & (roots <= u_max)]
         if roots.size == 0:
             raise SolverError(f"no root for quantile {idx + 1} (right mass {tau:.6g})")

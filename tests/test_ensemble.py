@@ -1,23 +1,28 @@
 """Noise sampling, trial records, and the two resolvent routes."""
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from rectconv import (
     ModelParams,
     NOISE_KINDS,
+    TrialRecord,
     assemble_Wt,
+    canonical_sqrt_spectrum,
     derive_seed,
     make_spectrum,
     noise_entry,
     pi_apply,
     pi_quadratic_form,
     pi_split_norm,
+    rank_estimator,
     resolvent_quadratic_form,
     run_trial,
     sample_noise,
     singular_values_sq,
     solve_point,
+    t1_statistic,
 )
 
 
@@ -134,11 +139,18 @@ def test_assemble_Wt_validates_shapes():
 
 def test_singular_values_sq_descending_and_correct():
     rng = np.random.default_rng(0)
-    Y = rng.standard_normal((6, 9))
-    lam = singular_values_sq(Y)
-    assert np.all(np.diff(lam) <= 0)
-    ref = np.sort(np.linalg.eigvalsh(Y @ Y.T))[::-1]
-    assert np.allclose(lam, ref, rtol=1e-10, atol=1e-12)
+    full = rng.standard_normal((6, 9))
+    # rank 2: the Gram matrix's zero eigenvalues come out of eigvalsh as
+    # rounding noise of either sign, and must not be returned negative
+    low = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 9))
+    assert np.linalg.eigvalsh(low @ low.T).min() < 0
+    for Y, rank in ((full, 6), (low, 2)):
+        lam = singular_values_sq(Y)
+        assert lam.shape == (6,)
+        assert np.all(lam >= 0) and np.all(np.diff(lam) <= 0)
+        ref = np.linalg.svd(Y, compute_uv=False)[:rank] ** 2
+        npt.assert_allclose(lam[:rank], ref, rtol=1e-12)
+        assert np.all(lam[rank:] < 1e-14)
 
 
 def test_run_trial_vectors():
@@ -161,6 +173,35 @@ def test_run_trial_without_vectors():
     assert rec.left_vectors is None and rec.right_vectors is None
     assert rec.singular_values_sq.shape == (10,)
     assert rec.kind == "trinary" and rec.seed == 3
+
+
+def _gram_cases():
+    # the universality size, criterion 11's planted atom at p = n, and an
+    # all-zero p = n spectrum whose bottom eigenvalues reach the hard edge 0
+    canon = canonical_sqrt_spectrum(150, 1.0), ModelParams(p=150, n=300, t=300 ** (-1.0 / 6.0))
+    cases = [pytest.param(*canon, kind, id=f"canonical-{kind}") for kind in NOISE_KINDS]
+    planted = make_spectrum([2.0] + [0.0] * 399), ModelParams(p=400, n=400, t=1.0)
+    zero = make_spectrum([0.0] * 60), ModelParams(p=60, n=60, t=1.0)
+    cases.append(pytest.param(*planted, "gaussian", id="planted-2.0"))
+    cases.append(pytest.param(*zero, "gaussian", id="zero-square"))
+    return cases
+
+
+@pytest.mark.parametrize("spec,params,kind", _gram_cases())
+def test_values_only_trial_matches_svd(spec, params, kind):
+    seed = derive_seed(5, 0, 0)
+    rec = run_trial(spec, params, kind, seed)
+    lam = rec.singular_values_sq
+    assert lam.shape == (params.p,)
+    assert np.all(lam >= 0) and np.all(np.diff(lam) <= 0)
+
+    Y = assemble_Wt(spec, params, sample_noise(params, kind, seed))
+    s = np.linalg.svd(Y, compute_uv=False)
+    ref = TrialRecord(seed=seed, kind=kind, singular_values_sq=s * s)
+    npt.assert_allclose(lam[:20], ref.singular_values_sq[:20], rtol=1e-12)
+    assert t1_statistic(rec) == pytest.approx(t1_statistic(ref), rel=1e-9)
+    omega = float(params.n) ** (-1.0 / 3.0)
+    assert rank_estimator(rec, omega, 10) == rank_estimator(ref, omega, 10)
 
 
 # ---------------------------------------------------------------------------

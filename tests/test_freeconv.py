@@ -263,6 +263,42 @@ def test_support_scan_mp(mp_unit):
     assert lo == pytest.approx(0.0, abs=0.05)
 
 
+def test_support_scan_reuses_grid_density(mp_unit, monkeypatch):
+    # refinement takes the density at a crossing's grid end from the scan,
+    # so each crossing costs only its bisection steps in single-point calls
+    spec, params = mp_unit
+    step = 0.05
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return density(*args, **kwargs)
+
+    monkeypatch.setattr(freeconv, "density", counting)
+    scan = support_scan(spec, params, -1.0, 6.0, step)
+    monkeypatch.undo()
+
+    def bisect(a, b):
+        # the same refinement, evaluating the density at both ends itself
+        fa = density(spec, params, a) - freeconv._SUPPORT_THRESHOLD
+        while b - a > step / 100.0:
+            mid = 0.5 * (a + b)
+            fm = density(spec, params, mid) - freeconv._SUPPORT_THRESHOLD
+            if (fa < 0) == (fm < 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    E = np.arange(-1.0, 6.0 + step * 0.5, step)
+    above = density_curve(spec, params, E) > freeconv._SUPPORT_THRESHOLD
+    k0 = int(np.argmax(above))
+    k1 = len(E) - 1 - int(np.argmax(above[::-1]))
+    assert scan.intervals == ((bisect(E[k0 - 1], E[k0]), bisect(E[k1], E[k1 + 1])),)
+    halvings = int(np.ceil(np.log2(100)))  # from one step down to step/100
+    assert len(calls) == 2 * halvings  # two crossings, no call at a grid end
+
+
 def test_support_scan_right_endpoint_matches_edge(canonical_small):
     spec, params = canonical_small
     edge = find_right_edge(spec, params)

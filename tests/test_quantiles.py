@@ -4,8 +4,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from rectconv import quantiles
 from rectconv import (
     ModelParams,
+    SolverConfig,
     classical_locations,
     density,
     eta_lower,
@@ -65,6 +67,44 @@ def test_mass_against_independent_quadrature(canonical_small):
             limit=200,
         )
         assert abs(val - (j - 1) / params.p) < 5e-7
+
+
+def _gapped():
+    # two support components, each holding half the mass
+    return make_spectrum([2.0] * 20 + [0.5] * 20), ModelParams(p=40, n=400, t=0.05)
+
+
+@pytest.mark.parametrize(
+    "case,targets",
+    [
+        ("canonical_small", np.concatenate([np.arange(15) / 100, (np.arange(15) + 0.5) / 100])),
+        ("gapped", np.array([0.0, 0.1, 0.45, 0.5, 0.55, 0.7, 0.9])),
+    ],
+)
+def test_locations_match_all_piece_solve(case, targets, request, monkeypatch):
+    # solving only the pieces next to each target must give, bit for bit,
+    # the smallest root that solving every piece of the spline gives
+    spec, params = _gapped() if case == "gapped" else request.getfixturevalue(case)
+    edge = find_right_edge(spec, params)
+    splines = []
+    mass_spline = quantiles._mass_spline
+
+    def spy(spec, params, lam_plus, u_max, cfg):
+        out = mass_spline(spec, params, lam_plus, u_max, cfg)
+        splines.append((out[0], u_max))
+        return out
+
+    monkeypatch.setattr(quantiles, "_mass_spline", spy)
+    x, _ = quantiles._locations(spec, params, edge, targets, SolverConfig())
+    C, u_max = splines[-1]
+    lam = edge.lambda_plus
+    for tau, got in zip(targets, x):
+        if tau == 0:
+            assert got == lam
+            continue
+        roots = C.solve(tau, extrapolate=False)
+        roots = roots[(roots >= 0) & (roots <= u_max)]
+        assert got == lam - roots.min() ** 2
 
 
 def test_classical_locations_validates_args(canonical_small):
