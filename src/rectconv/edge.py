@@ -32,7 +32,8 @@ _BRACKET_FLOOR = 1e-14
 
 
 class EdgeBracketError(RuntimeError):
-    """No sign change of the edge equation on the admissible ray."""
+    """The edge solve failed: no sign change of the edge equation on the
+    admissible ray, or a degenerate expansion at the critical point."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def sqrt_coefficient(spec: Spectrum, params: ModelParams, edge: EdgeData) -> flo
     phi2 = edge.phi_second
     denom = (4.0 * lp * zp + (1.0 - c) ** 2 * t * t) * c * c * t * t * phi2
     if not denom > 0:
-        raise ValueError(f"nonpositive edge-expansion denominator {denom}")
+        raise EdgeBracketError(f"nonpositive edge-expansion denominator {denom}")
     return float(np.sqrt(2.0 / denom) / np.pi)
 
 

@@ -71,13 +71,16 @@ def _uniforms(seed: int, count: int) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(key=seed))
     u = gen.random(count)
     # an exact 0 would map to -inf under the inverse CDF
-    return np.maximum(u, 1e-300)
+    return np.maximum(u, 1e-300, out=u)
 
 
 def _map_uniforms(u: np.ndarray, kind: str, n: int) -> np.ndarray:
+    """Entries of variance 1/n from uniforms; the gaussian map overwrites u."""
     root = 1.0 / np.sqrt(n)
     if kind == "gaussian":
-        return ndtri(u) * root
+        ndtri(u, out=u)
+        u *= root
+        return u
     if kind == "rademacher":
         return np.where(u < 0.5, -root, root)
     if kind == "trinary":

@@ -4,13 +4,18 @@ Each experiment compares empirical spectra of the signal-plus-noise model
 against deterministic predictions (classical locations, edge law,
 deterministic equivalent) and reduces to a single pass/fail against a
 frozen threshold.  Trials are data-parallel with per-trial derived seeds,
-so reports are byte-identical across thread counts.
+and each stream runs numpy's BLAS on one thread, so reports are
+byte-identical across Python and BLAS thread counts.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +23,7 @@ from scipy.stats import ks_2samp
 
 from .edge import EdgeData, find_right_edge, outlier_location, bbp_threshold
 from .ensemble import NOISE_KINDS, TrialRecord, derive_seed, pi_quadratic_form, pi_split_norm, resolvent_quadratic_form, run_trial
-from .freeconv import ConvolutionPoint, SolverConfig, solve_many
+from .freeconv import ConvolutionPoint, SolverConfig, SolverError, solve_many
 from .quantiles import _locations, classical_locations, eta_lower, in_domain
 from .spectrum import ModelParams, Spectrum, make_spectrum
 from .stieltjes import _atom_sums
@@ -106,16 +111,63 @@ def _config_digest(cfg: ExperimentConfig) -> dict:
     }
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    Resolved on first use, so importing the package loads nothing.  None
+    when numpy links another BLAS build, which then keeps its own setting.
+    """
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block, then restore it.
+
+    The trial pool is the one layer of parallelism: BLAS threads under it
+    would oversubscribe the cores, and OpenBLAS splits sums differently
+    with the thread count, which would change report bytes.  The setting
+    is process-wide, so it is made once around a whole stream, never per
+    trial from the pool threads.
+    """
+    handle = _openblas_threads()
+    if handle is None:
+        yield
+        return
+    get, set_ = handle
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
 def _run_stream(cfg: ExperimentConfig, spec: Spectrum, kind: str, stream: int, want_vectors=False):
     seeds = [derive_seed(cfg.base_seed, stream, i) for i in range(cfg.trials)]
 
     def work(i: int) -> TrialRecord:
         return run_trial(spec, cfg.params, kind, seeds[i], want_vectors)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(work, range(cfg.trials)))
-    return [work(i) for i in range(cfg.trials)]
+    with _one_blas_thread():
+        if cfg.threads > 1:
+            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                return list(pool.map(work, range(cfg.trials)))
+        return [work(i) for i in range(cfg.trials)]
 
 
 def _percentile(values, q: float) -> float:
@@ -292,7 +344,7 @@ def delocalization_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             im_pi = pi_quadratic_form(spec, params, points[k], ue, ue).imag
             bounds[k, a] = eta_l[k] * (im_pi + ctrl * pi_split_norm(spec, params, points[k], ue))
     if np.any(bounds <= 0):
-        raise RuntimeError("nonpositive delocalization bound")
+        raise SolverError("nonpositive delocalization bound")
 
     records = _run_stream(cfg, spec, cfg.kinds[0], 0, want_vectors=True)
     pooled = []

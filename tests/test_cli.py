@@ -1,11 +1,17 @@
 """CLI behavior: exit codes, outputs, overrides, config validation."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rectconv
 from rectconv import SolverError, find_right_edge, make_spectrum, ModelParams, quantiles
+from rectconv import cli, edge, experiments
 from rectconv.cli import main
 
 
@@ -155,6 +161,61 @@ def test_threads_env_honored(tmp_path, capsys, monkeypatch):
         a = (tmp_path / "e" / name).read_bytes()
         b = (tmp_path / "n" / name).read_bytes()
         assert a == b
+
+
+# README's example config; universality at criterion 8's size and kinds
+_README_CONFIG = {
+    "spectrum": {"canonical": {"p": 200, "edge": 1.0}},
+    "p": 200,
+    "n": 400,
+    "t": 0.368,
+    "noise": ["gaussian", "trinary"],
+    "trials": 200,
+    "seed": 1,
+    "experiment": {"k_max": 20, "vartheta": 0.1},
+}
+_UNIVERSALITY_CONFIG = {
+    "spectrum": {"canonical": {"p": 150, "edge": 1.0}},
+    "p": 150,
+    "n": 300,
+    "t": 300.0 ** (-1.0 / 6.0),
+    "noise": ["gaussian", "trinary"],
+    "trials": 40,
+    "seed": 21,
+}
+
+
+@pytest.mark.parametrize(
+    "name, config, extra",
+    [
+        ("universality", _UNIVERSALITY_CONFIG, ["--threads", "2"]),
+        ("locallaw", _README_CONFIG, ["--trials", "40"]),
+    ],
+    ids=["universality", "locallaw"],
+)
+def test_reports_identical_across_blas_threads(tmp_path, name, config, extra):
+    # each run is a fresh interpreter, since OpenBLAS reads the variable at load
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(rectconv.__file__))
+    outputs = {}
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("RECTCONV_THREADS", None)
+        out = tmp_path / f"blas{blas}"
+        argv = ["experiment", name, "--config", str(path), "--out", str(out), *extra]
+        proc = subprocess.run(
+            [sys.executable, "-m", "rectconv.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        outputs[blas] = [(out / f).read_bytes() for f in (f"{name}.json", f"{name}_trials.csv")]
+    assert outputs["1"][0] == outputs["2"][0]
+    assert outputs["1"][1] == outputs["2"][1]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +382,30 @@ def test_quantile_failure_exits_three(tmp_path, capsys, monkeypatch):
     rc = main(["quantiles", "--config", cfg, "--out", str(tmp_path / "o"), "--jmax", "5"])
     assert rc == 3
     assert "numerical failure: window exhausted" in capsys.readouterr().err
+
+
+def test_edge_expansion_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # a nonpositive expansion denominator is a numerical failure, not usage
+    real = cli.find_right_edge
+
+    def degenerate(spec, params):
+        found = real(spec, params)
+        return edge.sqrt_coefficient(spec, params, dataclasses.replace(found, phi_second=0.0))
+
+    monkeypatch.setattr(cli, "find_right_edge", degenerate)
+    cfg = _write_config(tmp_path)
+    rc = main(["edge", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "numerical failure: nonpositive edge-expansion denominator" in capsys.readouterr().err
+
+
+def test_delocalization_bound_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # a negative Im Pi_uu drives every bound below zero
+    monkeypatch.setattr(experiments, "pi_quadratic_form", lambda *args: complex(0.0, -1e6))
+    cfg = _write_config(tmp_path, trials=2, experiment={"k_max": 2})
+    rc = main(["experiment", "delocalization", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "numerical failure: nonpositive delocalization bound" in capsys.readouterr().err
 
 
 def test_bad_density_range(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Noise sampling, trial records, and the two resolvent routes."""
 
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -87,6 +89,23 @@ def test_sample_noise_deterministic():
     assert A.tobytes() == B.tobytes()
     C = sample_noise(params, "gaussian", seed=778)
     assert A.tobytes() != C.tobytes()
+
+
+# sha256 of sample_noise(ModelParams(p=37, n=53, t=1.0), kind, seed=20240611),
+# taken when each kind was mapped into a freshly allocated array
+_FROZEN_NOISE_DIGESTS = {
+    "gaussian": "5bea34650f260b1fe156d09c03d63832a6fc84904a6ae24c229344c9fceac6b3",
+    "rademacher": "1b3319fbc4e3d66788ebcb964f2950c60e357756b36629f79cc77162ec483718",
+    "trinary": "2adc9c3e396d3d31f5c486b4883748f108f52b13e3ed8e4e14bd815933d4fece",
+}
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_sample_noise_frozen_digest(kind):
+    # every byte of a draw is part of the reproducibility contract
+    X = sample_noise(ModelParams(p=37, n=53, t=1.0), kind, seed=20240611)
+    assert X.shape == (37, 53) and X.dtype == np.float64 and X.flags.c_contiguous
+    assert hashlib.sha256(X.tobytes()).hexdigest() == _FROZEN_NOISE_DIGESTS[kind]
 
 
 def test_sample_noise_kinds_differ():

@@ -29,6 +29,7 @@ from rectconv import (
     t1_statistic,
     write_report_csv,
 )
+from rectconv import experiments
 from rectconv.experiments import _plant
 
 
@@ -107,6 +108,86 @@ def _small_cfg(**kw):
     spec = make_spectrum([0.0] * p)
     params = ModelParams(p=p, n=n, t=t)
     return ExperimentConfig(spec=spec, params=params, **kw)
+
+
+# ---------------------------------------------------------------------------
+# BLAS pinned to one thread inside trial streams
+
+
+@pytest.fixture
+def blas_threads():
+    """Thread-count getter of numpy's OpenBLAS, set to 2 for the test."""
+    handle = experiments._openblas_threads()
+    if handle is None:
+        pytest.skip("numpy links a BLAS without the scipy-openblas thread symbols")
+    get, set_ = handle
+    old = get()
+    set_(2)
+    yield get
+    set_(old)
+
+
+def _spy_trials(monkeypatch, probe):
+    """Record probe() inside every trial, from whichever thread runs it."""
+    seen = []
+    real = experiments.run_trial
+
+    def spy(*args):
+        seen.append(probe())
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "run_trial", spy)
+    return seen
+
+
+def test_one_blas_thread_restores_count(blas_threads):
+    with experiments._one_blas_thread():
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_stream_pins_blas_once(blas_threads, monkeypatch, threads):
+    get, set_ = experiments._openblas_threads()
+    calls = []
+    monkeypatch.setattr(
+        experiments, "_openblas_threads", lambda: (get, lambda k: (calls.append(k), set_(k)))
+    )
+    seen = _spy_trials(monkeypatch, blas_threads)
+    cfg = _small_cfg(p=10, n=20, trials=6, threads=threads)
+    records = experiments._run_stream(cfg, cfg.spec, "gaussian", 0)
+    assert len(records) == 6
+    assert seen == [1] * 6
+    # process-wide setting: once on entry and once on exit, never per trial
+    assert calls == [1, 2]
+    assert blas_threads() == 2
+
+
+def test_pooled_stream_restores_blas_when_a_trial_raises(blas_threads, monkeypatch):
+    def fail(*args):
+        raise FloatingPointError("trial failed")
+
+    monkeypatch.setattr(experiments, "run_trial", fail)
+    cfg = _small_cfg(p=10, n=20, trials=6, threads=3)
+    with pytest.raises(FloatingPointError, match="trial failed"):
+        experiments._run_stream(cfg, cfg.spec, "gaussian", 0)
+    assert blas_threads() == 2
+
+
+def test_stream_runs_without_openblas_symbols(monkeypatch):
+    handle = experiments._openblas_threads()
+    probe = handle[0] if handle is not None else (lambda: None)
+    before = probe()
+    monkeypatch.setattr(experiments, "_openblas_threads", lambda: None)
+    seen = _spy_trials(monkeypatch, probe)
+    cfg = _small_cfg(p=10, n=20, trials=4, threads=2)
+    records = experiments._run_stream(cfg, cfg.spec, "gaussian", 0)
+    assert [r.seed for r in records] == [
+        experiments.derive_seed(cfg.base_seed, 0, i) for i in range(4)
+    ]
+    # another BLAS build keeps its own setting
+    assert seen == [before] * 4
+    assert probe() == before
 
 
 def test_rigidity_structure():
