@@ -21,13 +21,11 @@ entry points accept arrays of evaluation points and solve them in
 lockstep.
 
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
-with Im zeta > 0, solved by Newton in a walk that starts at the right
-edge (seeded by the quadratic expansion of Phi at its critical point)
-and steps down through the energies, halving the step whenever Newton
-fails.  The walk covers the right-edge component of the support; the
-points it does not reach (gaps, the region left of the component,
-E <= 0) get the eta ladder at two small eta values and a Richardson
-extrapolation.  Energies at or above the edge have density exactly 0.
+with Im zeta > 0.  The support edges are Phi at the real critical points
+of Phi where g = 1 - c t m_v > 0; each component is walked down from its
+right edge by Newton, seeded by the quadratic expansion of Phi there, with
+the step halved whenever Newton fails.  Energies outside every component
+have density exactly 0; at t = 0 the measure is atomic and has none.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edge import EdgeBracketError, find_right_edge
+from .edge import find_right_edge
 from .spectrum import ModelParams, Spectrum
 from .stieltjes import _atom_sums, _check_distance, _phi, m_v
 
@@ -56,12 +54,11 @@ __all__ = [
     "write_density_csv",
 ]
 
-# Two-level extrapolation for the real-axis points the edge walk leaves.
-_DENSITY_ETAS = (1e-7, 5e-8)
-_DENSITY_CLAMP = -1e-9
-_SUPPORT_THRESHOLD = 1e-6
+# Support finder: grid points between consecutive atoms, bisection steps.
+_SUPPORT_GRID = 16
+_BISECT_STEPS = 40
 # Edge walk: Newton iterations per step, and the smallest E-step
-# relative to max(1, lambda_plus).
+# relative to max(1, the component's right edge).
 _WALK_NEWTON = 8
 _WALK_FLOOR = 1e-12
 
@@ -127,7 +124,8 @@ class SupportScan:
 
 
 class SolverError(RuntimeError):
-    """Self-consistent solve failed; eta_level records where on the ladder."""
+    """Self-consistent solve failed; eta_level records where on the ladder
+    (None for a failed real-axis density walk)."""
 
     def __init__(self, message: str, eta_level: float | None = None):
         super().__init__(message)
@@ -455,23 +453,72 @@ def _walk_newton(d, c, t, E, zeta, tol):
     return best, _WALK_NEWTON
 
 
-def _walk(d, c, t, edge, E_desc, tol):
-    """Real-axis solutions Phi(zeta) = E walked down from the right edge.
+def _bisect(pred, lo, hi):
+    """Elementwise last point where pred holds; it holds at lo, fails at hi."""
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        keep = pred(mid)
+        lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+    return lo
 
-    E_desc holds energies below lambda_plus in descending order.  Each
-    E-step is seeded by the edge expansion zeta_+ + i sqrt(2 kappa / Phi'')
-    while the walk sits at the edge, and by the predictor zeta - h / Phi'
-    after that; a step is halved when Newton fails and doubled after a
-    success.  The walk ends when the density drops below the support
-    threshold or the step falls below the floor.  Returns (rho, residual,
-    steps) for the prefix of E_desc it reached.
+
+# atoms closer together than the bisection resolves put evaluation points
+# on an atom; the inf and nan there read as "g <= 0" and "no run"
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _support(d, c, t, edge):
+    """Support components for t > 0, as rows (left, right, x_c, Phi''(x_c)).
+
+    The complement of the support is the image under Phi of the real x off
+    the atoms with g = 1 - c t m_v > 0 and Phi' > 0, where Phi increases,
+    so every edge is Phi at a critical point; x_c is the one of the right
+    edge.  Below the smallest atom Phi' falls from 1 to Phi' <= 0 at the
+    zero of g through one sign change, whose image is the lowest left edge
+    (clipped at 0).  Between consecutive distinct atoms g falls from +inf to
+    -inf through one zero x_g, and Phi' < 0 just above the lower atom and
+    at x_g: at most one run with Phi' > 0, found at the largest Phi' (grid,
+    then bisection on Phi''), maps onto a gap.  The top edge is edge's.
     """
-    lam = edge.lambda_plus
-    floor = _WALK_FLOOR * max(1.0, lam)
-    E_cur, zeta, slope = lam, complex(edge.zeta_plus), None
+
+    def slope(x, order=1):
+        return _phi(d, c, t, x, order)[order]
+
+    a = np.unique(d)
+    # below L = a_0 - y, m_v <= 1/y and m_v' <= 1/y^2 give g >= 0.9 and Phi' >= 0.6
+    L = a[0] - max(10.0 * t, np.sqrt(10.0 * a[0] * t))
+    x_g = _bisect(lambda x: c * t * _atom_sums(d, x, 0)[0] < 1.0, np.append(L, a[:-1]), a)
+
+    base, top = a[:-1], x_g[1:]
+    h = (top - base) / (_SUPPORT_GRID + 1)
+    grid = base[:, None] + h[:, None] * np.arange(1, _SUPPORT_GRID + 1)
+    f = np.column_stack([slope(col) for col in grid.T])  # a column at a time: small temporaries
+    j = np.arange(base.size), np.argmax(f, axis=1)
+    peak = _bisect(lambda x: slope(x, 2) > 0.0, grid[j] - h, np.minimum(grid[j] + h, top))
+    f_peak = slope(peak)
+    peak = np.where(f_peak > f[j], peak, grid[j])
+    run = np.maximum(f_peak, f[j]) > 0.0
+
+    # falling crossings open components, rising ones close them
+    x_open = _bisect(lambda x: slope(x) > 0.0, np.append(L, peak[run]), x_g[np.append(True, run)])
+    x_close = _bisect(lambda x: slope(x) <= 0.0, base[run], peak[run])
+    close = _phi(d, c, t, x_close, 2)
+    right = np.append(close[0], edge.lambda_plus)
+    left = np.maximum(_phi(d, c, t, x_open)[0], 0.0)
+    x_c = np.append(x_close, edge.zeta_plus)
+    return np.column_stack((left, right, x_c, np.append(close[2], edge.phi_second)))
+
+
+def _walk(d, c, t, E_right, x_c, phi2, E_desc, tol):
+    """Rows (rho, residual, steps) for E_desc, energies inside one support
+    component in descending order, walked down from its right edge E_right.
+
+    A step is seeded by the edge expansion x_c + i sqrt(2 kappa / Phi'')
+    while the walk sits at the edge, by the predictor zeta - h / Phi' after
+    that; it is halved when Newton fails and doubled after a success.  The
+    first energy left when the step falls below the floor raises SolverError.
+    """
+    floor = _WALK_FLOOR * max(1.0, E_right)
+    E_cur, zeta, slope = E_right, complex(x_c), None
     h_allow = np.inf
-    in_support = False
-    rho = residual = 0.0
     out = []
     for E in E_desc:
         steps = 0
@@ -479,7 +526,7 @@ def _walk(d, c, t, edge, E_desc, tol):
             h = min(E_cur - E, h_allow)
             E_try = E if h == E_cur - E else E_cur - h
             if slope is None:
-                seed = complex(edge.zeta_plus, np.sqrt(2.0 * (lam - E_try) / edge.phi_second))
+                seed = complex(x_c, np.sqrt(2.0 * (E_right - E_try) / phi2))
             else:
                 seed = zeta - h / slope
             sol, used = _walk_newton(d, c, t, E_try, seed, tol)
@@ -487,53 +534,30 @@ def _walk(d, c, t, edge, E_desc, tol):
             if sol is None:
                 h_allow = 0.5 * h
                 if h_allow < floor:
-                    return out
+                    raise SolverError(f"density walk stage: no root reached at E={E:.17g}")
                 continue
             zeta, slope, mv, residual = sol
             E_cur = E_try
             h_allow = 2.0 * h
             rho = (mv / (1.0 - c * t * mv)).imag / np.pi
-            if rho >= _SUPPORT_THRESHOLD:
-                in_support = True
-            elif in_support:
-                return out
         out.append((rho, residual, steps))
-    return out
-
-
-def _ladder_density(spec, params, E, cfg):
-    """Density by the eta ladder at both _DENSITY_ETAS, extrapolated to eta = 0."""
-    eta_hi, eta_lo = _DENSITY_ETAS
-    try:
-        m_hi = _solve_grid(spec, params, E + 1j * eta_hi, cfg, "hybrid")
-        m_lo = _solve_grid(spec, params, E + 1j * eta_lo, cfg, "hybrid")
-    except SolverError as exc:
-        raise SolverError(f"density ladder stage: {exc}", exc.eta_level) from exc
-    rho = (2.0 * m_lo[0].imag - m_hi[0].imag) / np.pi
-    if np.any(rho < _DENSITY_CLAMP):
-        j = int(np.argmin(rho))
-        raise SolverError(
-            f"density ladder stage: extrapolation produced {rho[j]:.3e} < clamp "
-            f"at E={E[j]:.17g}",
-            eta_lo,
-        )
-    return np.maximum(rho, 0.0), np.maximum(m_hi[4], m_lo[4]), m_hi[5] + m_lo[5]
+    return np.reshape(out, (-1, 3)).T
 
 
 def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfig | None = None):
-    """(rho, diagnostics) on an E-array: per point eta_used, residual and
-    iteration count.
+    """(rho, diagnostics) on an E-array for t > 0: per point eta_used,
+    residual and iteration count.
 
-    Points reached by the edge walk report eta_used = 0, their real-axis
-    residual |Phi(zeta) - E| and the Newton steps of the walk segment that
-    ended at them; energies at or above lambda_plus report zeros; every
-    other point carries the ladder's values at the smaller eta.
+    Points inside a support component, walked down from its right edge,
+    report eta_used = 0, the residual |Phi(zeta) - E| and the Newton steps
+    of the walk segment that ended at them; points outside every component
+    (E <= 0, gaps, E >= lambda_plus) read 0 throughout.  t = 0: ValueError.
     """
+    if params.t == 0.0:
+        raise ValueError("no density at t = 0: the measure is atomic")
     cfg = cfg or SolverConfig()
     E = np.asarray(E, dtype=float).ravel()
-    c, t = params.c_n, params.t
-    if t == 0.0 and np.any(E <= 0):
-        raise ValueError("density at t = 0 needs E > 0")
+    d, c, t = spec.values, params.c_n, params.t
     k = E.shape[0]
     rho = np.zeros(k)
     diag = {
@@ -541,32 +565,17 @@ def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfi
         "residual": np.zeros(k),
         "iterations": np.zeros(k, dtype=int),
     }
-    ladder = np.ones(k, dtype=bool)
-    if t > 0.0:
-        try:
-            edge = find_right_edge(spec, params)
-        except EdgeBracketError:  # no edge to walk from: every point takes the ladder
-            edge = None
-        if edge is not None:
-            ladder = E < edge.lambda_plus
-            inside = np.flatnonzero(ladder & (E > 0.0))
-            order = inside[np.argsort(-E[inside], kind="stable")]
-            walked = _walk(spec.values, c, t, edge, E[order], cfg.tolerance)
-            if walked:
-                idx = order[: len(walked)]
-                rho[idx], diag["residual"][idx], diag["iterations"][idx] = np.array(walked).T
-                ladder[idx] = False
-    if ladder.any():
-        rho[ladder], diag["residual"][ladder], diag["iterations"][ladder] = _ladder_density(
-            spec, params, E[ladder], cfg
+    for left, right, x_c, phi2 in _support(d, c, t, find_right_edge(spec, params)):
+        inside = np.flatnonzero((E > left) & (E < right))
+        order = inside[np.argsort(-E[inside], kind="stable")]
+        rho[order], diag["residual"][order], diag["iterations"][order] = _walk(
+            d, c, t, right, x_c, phi2, E[order], cfg.tolerance
         )
-        diag["eta_used"][ladder] = _DENSITY_ETAS[1]
     return rho, diag
 
 
 def density(spec: Spectrum, params: ModelParams, E: float, cfg: SolverConfig | None = None) -> float:
-    """Spectral density at real energy E: the real-axis edge walk where it
-    reaches, the extrapolated eta ladder elsewhere."""
+    """Spectral density at real energy E for t > 0, by the edge walk."""
     return float(density_diagnostics(spec, params, [E], cfg)[0][0])
 
 
@@ -582,47 +591,23 @@ def support_scan(
     step: float,
     cfg: SolverConfig | None = None,
 ) -> SupportScan:
-    """Locate density-support intervals in [lo, hi] on a uniform grid.
+    """Support components that meet [lo, hi], clipped to it.
 
-    Grid cells where the density crosses the fixed threshold are refined
-    by bisection to a resolution of step/100.  Intervals truncated by the
-    scan window keep the window endpoint.
+    The edges are exact (Phi at the real critical points), so nothing is
+    scanned: step is checked and echoed, cfg is unused, and threshold is
+    0.0, the density being positive exactly inside the intervals.
     """
     if params.t <= 0:
         raise ValueError("support scan needs t > 0")
     if not (hi > lo and step > 0 and step <= (hi - lo)):
         raise ValueError("bad scan window")
-    cfg = cfg or SolverConfig()
-    E = np.arange(lo, hi + step * 0.5, step)
-    rho = density_curve(spec, params, E, cfg)
-    above = rho > _SUPPORT_THRESHOLD
-
-    def refine(a: float, b: float, fa: float) -> float:
-        # density - threshold changes sign across [a, b]; fa is its value
-        # at a, already known from the scan grid
-        while b - a > step / 100.0:
-            mid = 0.5 * (a + b)
-            fm = density(spec, params, mid, cfg) - _SUPPORT_THRESHOLD
-            if (fa < 0) == (fm < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    intervals = []
-    k = 0
-    n_pts = E.shape[0]
-    while k < n_pts:
-        if not above[k]:
-            k += 1
-            continue
-        start = E[k] if k == 0 else refine(E[k - 1], E[k], rho[k - 1] - _SUPPORT_THRESHOLD)
-        while k + 1 < n_pts and above[k + 1]:
-            k += 1
-        end = E[k] if k == n_pts - 1 else refine(E[k], E[k + 1], rho[k] - _SUPPORT_THRESHOLD)
-        intervals.append((float(start), float(end)))
-        k += 1
-    return SupportScan(intervals=tuple(intervals), threshold=_SUPPORT_THRESHOLD, step=step)
+    comps = _support(spec.values, params.c_n, params.t, find_right_edge(spec, params))
+    intervals = tuple(
+        (float(max(left, lo)), float(min(right, hi)))
+        for left, right, _, _ in comps
+        if right > lo and left < hi
+    )
+    return SupportScan(intervals=intervals, threshold=0.0, step=step)
 
 
 def write_density_csv(path, spec: Spectrum, params: ModelParams, E, cfg: SolverConfig | None = None) -> None:

@@ -25,9 +25,13 @@ class AtomCollisionError(ValueError):
 
 
 def _check_distance(spec: Spectrum, zeta: np.ndarray) -> None:
-    dist = np.abs(spec.values[:, None] - np.ravel(zeta)[None, :]).min(axis=0)
-    tol = _GUARD * np.maximum(1.0, np.abs(np.ravel(zeta)))
-    if np.any(dist < tol):
+    # the atoms are real, so the nearest one to zeta is a neighbour of
+    # Re zeta in the ascending atoms
+    z, asc = np.ravel(zeta), spec.values[::-1]
+    i = np.searchsorted(asc, z.real)
+    above, below = asc[np.minimum(i, asc.size - 1)], asc[np.maximum(i - 1, 0)]
+    dist = np.minimum(np.abs(above - z), np.abs(below - z))
+    if np.any(dist < _GUARD * np.maximum(1.0, np.abs(z))):
         raise AtomCollisionError("evaluation point collides with a spectrum atom")
 
 

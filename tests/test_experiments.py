@@ -383,13 +383,13 @@ def test_report_to_json_stable_and_loadable():
 def test_write_report_csv(tmp_path):
     cfg = _small_cfg(trials=4, k_max=3)
     rep = rigidity_experiment(cfg)
-    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    write_report_csv(a, rep)
-    write_report_csv(b, rep)
-    raw = open(a).read().splitlines()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_report_csv(str(a), rep)
+    write_report_csv(str(b), rep)
+    raw = a.read_text().splitlines()
     assert raw[0] == ",".join(rep.per_trial[0].keys())
     assert len(raw) == 1 + len(rep.per_trial)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_write_report_csv_rejects_empty(tmp_path):

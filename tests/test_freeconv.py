@@ -4,6 +4,7 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectconv import freeconv
 from rectconv import (
@@ -24,6 +25,7 @@ from rectconv import (
     support_scan,
     write_density_csv,
 )
+from rectconv.stieltjes import _phi
 
 
 def mp_m_oracle(z):
@@ -166,22 +168,24 @@ def test_density_curve_matches_pointwise(canonical_small, mp_unit):
 
 def test_density_diagnostics_fields(canonical_small):
     # a bulk point is reached by the real-axis walk (eta_used 0, residual
-    # |Phi(zeta) - E|); a point left of the support goes to the eta ladder
+    # |Phi(zeta) - E|); a point left of the support reads exactly 0 with
+    # zero diagnostics
     spec, params = canonical_small
     rho, info = density_diagnostics(spec, params, [1.0, -0.5])
     assert rho[0] > 0
     assert info["eta_used"][0] == 0.0
     assert info["residual"][0] <= 1e-12
     assert info["iterations"][0] >= 1
-    assert rho[1] < 1e-6
-    assert info["eta_used"][1] == 5e-8
-    assert info["residual"][1] <= 1e-10
-    assert info["iterations"][1] >= 1
+    assert rho[1] == 0.0
+    assert info["eta_used"][1] == 0.0
+    assert info["residual"][1] == 0.0
+    assert info["iterations"][1] == 0
 
 
 def _ladder_density(spec, params, E):
-    # the extrapolated eta ladder the real-axis walk replaces
-    eta_hi, eta_lo = freeconv._DENSITY_ETAS
+    # an independent reference off the real axis: the eta ladder at
+    # eta = 1e-7 and 5e-8, extrapolated to eta = 0
+    eta_hi, eta_lo = 1e-7, 5e-8
     cfg = SolverConfig()
     m_hi = freeconv._solve_grid(spec, params, E + 1j * eta_hi, cfg, "hybrid")[0]
     m_lo = freeconv._solve_grid(spec, params, E + 1j * eta_lo, cfg, "hybrid")[0]
@@ -203,33 +207,37 @@ def test_density_marchenko_pastur_closed_form(n):
 
 
 def test_density_walk_matches_ladder(canonical_small):
+    # inside the support the walk agrees with the off-axis ladder; outside
+    # it (left of the support, at and above the edge) the density is exactly
+    # 0 where the ladder reads rounding noise
     spec, params = canonical_small
     edge = find_right_edge(spec, params)
+    ((left, right),) = support_scan(spec, params, -0.5, edge.lambda_plus + 0.2, 0.1).intervals
+    assert 0.0 < left < 0.2 and right == edge.lambda_plus
     E = np.linspace(-0.5, edge.lambda_plus + 0.2, 240)
     rho, info = density_diagnostics(spec, params, E)
-    walked = info["eta_used"] == 0.0
-    assert walked.sum() > 150
+    inside = (E > left) & (E < right)
+    assert np.all(rho[inside] > 0) and np.all(rho[~inside] == 0.0)
+    assert np.all(info["eta_used"] == 0.0)
     ref = _ladder_density(spec, params, E)
-    close = walked & (E < edge.lambda_plus - 1e-4)
+    close = inside & (E < edge.lambda_plus - 1e-4)
     npt.assert_allclose(rho[close], ref[close], rtol=1e-8)
-    assert np.all(rho[E >= edge.lambda_plus] == 0.0)
-    handed = ~walked & (E < edge.lambda_plus)
-    npt.assert_allclose(rho[handed], ref[handed], rtol=1e-12, atol=1e-15)
+    npt.assert_allclose(rho[~inside], ref[~inside], rtol=0, atol=1e-12)
 
 
-def test_density_hands_gapped_spectrum_to_ladder():
-    # two well-separated atoms at small t: two support components, and the
-    # walk from the right edge must stop at the gap and hand off the rest
+def test_density_walks_every_gapped_component():
+    # two well-separated atoms at small t: two support components, each
+    # walked down from its own right edge; the gap reads exactly 0
     spec = make_spectrum([2.0] * 20 + [0.5] * 20)
     params = ModelParams(p=40, n=400, t=0.05)
     edge = find_right_edge(spec, params)
     E = np.linspace(0.05, edge.lambda_plus - 1e-3, 160)
     rho, info = density_diagnostics(spec, params, E)
-    walked = info["eta_used"] == 0.0
-    gap = (E > 0.9) & (E < 1.6)
-    assert walked.any() and (~walked).any()
-    assert np.all(~walked[E < 1.0]) and np.all(walked[E > 1.9])
-    assert np.all(rho[gap] < 1e-6)
+    (a, b), (c, d) = support_scan(spec, params, 0.01, 3.0, 0.1).intervals
+    inside = ((E > a) & (E < b)) | ((E > c) & (E < d))
+    assert inside[E < 1.0].any() and inside[E > 1.9].all()
+    assert np.all(rho[inside] > 0) and np.all(info["iterations"][inside] >= 1)
+    assert np.all(rho[~inside] == 0.0) and np.all(info["iterations"][~inside] == 0)
     assert np.any(rho[E < 0.9] > 0.1)
     npt.assert_allclose(rho, _ladder_density(spec, params, E), rtol=1e-8, atol=1e-10)
 
@@ -263,40 +271,137 @@ def test_support_scan_mp(mp_unit):
     assert lo == pytest.approx(0.0, abs=0.05)
 
 
-def test_support_scan_reuses_grid_density(mp_unit, monkeypatch):
-    # refinement takes the density at a crossing's grid end from the scan,
-    # so each crossing costs only its bisection steps in single-point calls
+def test_support_scan_returns_exact_components(mp_unit, monkeypatch):
+    # the scan clips the exact components to its window and never calls
+    # the pointwise density
     spec, params = mp_unit
-    step = 0.05
-    calls = []
+    monkeypatch.setattr(freeconv, "density", lambda *args, **kwargs: pytest.fail("density called"))
+    lam = find_right_edge(spec, params).lambda_plus
+    scan = support_scan(spec, params, -1.0, 6.0, 0.05)
+    assert scan.intervals == ((0.0, lam),)
+    assert scan.threshold == 0.0 and scan.step == 0.05
+    assert support_scan(spec, params, 1.0, 2.0, 0.5).intervals == ((1.0, 2.0),)
+    assert support_scan(spec, params, 4.5, 6.0, 0.5).intervals == ()
+    gapped = make_spectrum([2.0] * 20 + [0.5] * 20), ModelParams(p=40, n=400, t=0.05)
+    full = support_scan(*gapped, 0.0, 3.0, 0.5).intervals
+    assert len(full) == 2
+    assert support_scan(*gapped, 1.0, 3.0, 0.5).intervals == full[1:]
+    assert support_scan(*gapped, 0.5, 2.0, 0.5).intervals == ((0.5, full[0][1]), (full[1][0], 2.0))
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return density(*args, **kwargs)
 
-    monkeypatch.setattr(freeconv, "density", counting)
-    scan = support_scan(spec, params, -1.0, 6.0, step)
-    monkeypatch.undo()
+@pytest.mark.parametrize("c", [0.25, 0.5, 1.0])
+def test_support_edges_mp_closed_form(c):
+    # all-zero signal: one component [t (1 - sqrt c)^2, t (1 + sqrt c)^2]
+    p = 40
+    for t in (0.3, 1.0, 2.5):
+        spec, params = make_spectrum(np.zeros(p)), ModelParams(p=p, n=round(p / c), t=t)
+        ((lo, hi),) = support_scan(spec, params, -1.0, 20.0, 0.5).intervals
+        exact = t * (1.0 - np.sqrt(c)) ** 2, t * (1.0 + np.sqrt(c)) ** 2
+        npt.assert_allclose((lo, hi), exact, rtol=0, atol=1e-10)
 
-    def bisect(a, b):
-        # the same refinement, evaluating the density at both ends itself
-        fa = density(spec, params, a) - freeconv._SUPPORT_THRESHOLD
-        while b - a > step / 100.0:
-            mid = 0.5 * (a + b)
-            fm = density(spec, params, mid) - freeconv._SUPPORT_THRESHOLD
-            if (fa < 0) == (fm < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        return 0.5 * (a + b)
 
-    E = np.arange(-1.0, 6.0 + step * 0.5, step)
-    above = density_curve(spec, params, E) > freeconv._SUPPORT_THRESHOLD
-    k0 = int(np.argmax(above))
-    k1 = len(E) - 1 - int(np.argmax(above[::-1]))
-    assert scan.intervals == ((bisect(E[k0 - 1], E[k0]), bisect(E[k1], E[k1 + 1])),)
-    halvings = int(np.ceil(np.log2(100)))  # from one step down to step/100
-    assert len(calls) == 2 * halvings  # two crossings, no call at a grid end
+def test_support_edges_gapped_fixture():
+    spec = make_spectrum([2.0] * 20 + [0.5] * 20)
+    params = ModelParams(p=40, n=400, t=0.05)
+    scan = support_scan(spec, params, 0.0, 3.0, 0.1)
+    npt.assert_allclose(
+        np.ravel(scan.intervals), [0.447425, 0.651439, 1.856768, 2.259202], rtol=0, atol=1e-6
+    )
+
+
+def test_support_finds_cubed_uniform_narrow_gap():
+    # seven components; the gap between the second and third is 2e-4 wide,
+    # and the density is about 0.2 at 1e-4 from either side of it
+    spec = make_spectrum(np.random.default_rng(3).uniform(size=60) ** 3)
+    params = ModelParams(p=60, n=120, t=0.02)
+    scan = support_scan(spec, params, 0.0, 2.0, 0.1)
+    assert len(scan.intervals) == 7
+    gap = scan.intervals[1][1], scan.intervals[2][0]
+    npt.assert_allclose(gap, (0.14637, 0.14657), rtol=0, atol=1e-5)
+    rho = density_curve(spec, params, [gap[0] - 1e-4, 0.5 * (gap[0] + gap[1]), gap[1] + 1e-4])
+    assert rho[1] == 0.0 and rho[0] > 0.1 and rho[2] > 0.1
+
+
+def _scan_gap_edges(spec, params, lam, points=4000):
+    # dense sign scan: on a cosine grid in each interval between distinct
+    # atoms (and below the smallest, above the largest), the points with
+    # g > 0 and Phi' > 0 map onto the complement of the support.  Returns
+    # the images of the first and of the last point of each such run, each
+    # with a bound on its distance to the true edge (spacing times Phi')
+    d, c, t = spec.values, params.c_n, params.t
+    a = np.unique(d)
+    reach = 20.0 * max(t, np.sqrt(a[0] * t))
+    s = (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, points + 2))) / 2.0
+    pieces = [a[0] - reach + reach * s[:-1]]
+    pieces += [lo + (hi - lo) * s[1:-1] for lo, hi in zip(a[:-1], a[1:])]
+    pieces.append(a[-1] + 2.0 * (lam - a[-1]) * s[1:])
+    first, last = [], []
+    for x in pieces:
+        ph, slope, mv = _phi(d, c, t, x, 1)
+        valid = (1.0 - c * t * mv > 0) & (slope > 0)
+        h = np.diff(x)
+        h = np.maximum(np.append(h[0], h), np.append(h, h[-1]))
+        for i in np.flatnonzero(valid[1:] & ~valid[:-1]) + 1:
+            first.append((ph[i], 2.0 * h[i] * slope[i]))
+        for i in np.flatnonzero(valid[:-1] & ~valid[1:]):
+            last.append((ph[i], 2.0 * h[i] * slope[i]))
+    return sorted(first), sorted(last)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    clusters=st.lists(
+        st.tuples(st.integers(0, 40_000), st.integers(1, 5), st.integers(0, 500)),
+        min_size=1,
+        max_size=5,
+    ),
+    ratio=st.sampled_from([1.25, 2.0, 4.0]),
+    log_t=st.floats(np.log(1e-3), np.log(2.0)),
+)
+def test_support_property_random_spectra(clusters, ratio, log_t):
+    # clusters of up to 5 atoms on [0, 4.05], in units of 1e-4
+    atoms = [1e-4 * (x + spread * k / mult) for x, mult, spread in clusters for k in range(mult)]
+    spec = make_spectrum(atoms)
+    params = ModelParams(p=spec.p, n=int(np.ceil(ratio * spec.p)), t=float(np.exp(log_t)))
+    edge = find_right_edge(spec, params)
+    comps = freeconv._support(spec.values, params.c_n, params.t, edge)
+    left, right = comps[:, 0], comps[:, 1]
+    assert np.all(np.diff(comps[:, :2].ravel()) > 0) and right[-1] == edge.lambda_plus
+
+    # positive inside every component, exactly 0 in every gap and outside
+    inside = (left[:, None] + (right - left)[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
+    outside = np.concatenate([0.5 * (right[:-1] + left[1:]), [-1.0, 1.01 * edge.lambda_plus]])
+    if left[0] > 0:
+        outside = np.append(outside, 0.5 * left[0])
+    assert np.all(density_curve(spec, params, inside) > 0)
+    assert np.all(density_curve(spec, params, outside) == 0.0)
+
+    # every edge agrees with the dense sign scan of Phi' and g
+    first, last = _scan_gap_edges(spec, params, edge.lambda_plus)
+    assert len(first) == len(right)
+    for (image, tol), edge_e in zip(first, right):
+        assert abs(image - edge_e) <= tol + 1e-12
+    last = [(image, tol) for image, tol in last if image > 0]
+    opened = left[left > 0]
+    assert len(last) == len(opened)
+    for (image, tol), edge_e in zip(last, opened):
+        assert abs(image - edge_e) <= tol + 1e-12
+
+
+def test_density_needs_positive_t():
+    # at t = 0 the measure is atomic: there is no density to evaluate
+    spec, params = make_spectrum([0.5, 1.5]), ModelParams(p=2, n=4, t=0.0)
+    for f in (density, density_curve, density_diagnostics):
+        with pytest.raises(ValueError, match="t = 0"):
+            f(spec, params, [1.0] if f is not density else 1.0)
+
+
+def test_density_walk_failure_names_stage_and_energy(canonical_small):
+    # a tolerance no Newton step can meet: the walk cannot reach the point
+    spec, params = canonical_small
+    with pytest.raises(SolverError, match=r"density walk stage: .*E=0\.5\b") as info:
+        density_curve(spec, params, [0.5], SolverConfig(tolerance=1e-300))
+    assert info.value.eta_level is None
 
 
 def test_support_scan_right_endpoint_matches_edge(canonical_small):

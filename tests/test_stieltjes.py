@@ -70,6 +70,32 @@ def test_atom_collision_guard():
     assert np.isfinite(m_v(spec, 5.0 + 0j))
 
 
+def test_collision_guard_matches_brute_force():
+    # the guard looks only at the two neighbours of Re zeta in the ascending
+    # atoms; it must reject exactly the points that the minimum distance
+    # over every atom rejects: on atoms, at midpoints, beyond both ends, on
+    # repeated atoms, and at half and twice the guard distance from an atom
+    spec = make_spectrum([0.0, 0.5, 0.5, 0.5, 1.25, 3.0, 3.0])
+    atoms = np.unique(spec.values)
+    near = np.concatenate([atoms + off for off in (-2e-14, -0.5e-14, 0.5e-14, 2e-14)])
+    real = np.concatenate([atoms, near, 0.5 * (atoms[1:] + atoms[:-1]), [-2.0, 3.0 + 1e-9, 7.5]])
+    rng = np.random.default_rng(15)
+    points = np.concatenate(
+        [real + 0j, real + 1j * rng.uniform(0.0, 2.0, real.size), atoms + 0.5e-14j, atoms + 2e-14j]
+    )
+    dist = np.abs(spec.values[:, None] - points[None, :]).min(axis=0)
+    brute = dist < 1e-14 * np.maximum(1.0, np.abs(points))
+    assert brute.any() and not brute.all()
+    for z, collides in zip(points, brute):
+        if collides:
+            with pytest.raises(AtomCollisionError):
+                m_v(spec, z)
+        else:
+            assert np.isfinite(m_v(spec, z))
+    with pytest.raises(AtomCollisionError):
+        m_v(spec, points)  # one colliding point rejects the whole batch
+
+
 def test_real_axis_outside_support_is_real_and_monotone():
     spec = make_spectrum([0.5, 1.0, 1.5])
     xs = np.linspace(2.0, 6.0, 40)
