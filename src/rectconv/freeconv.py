@@ -1,31 +1,27 @@
 """Additive-noise deformation of a signal spectrum.
 
-Solves the self-consistent equation for the Stieltjes transform of the
-noise-convolved singular value distribution at noise level t, via the
-subordination point zeta: the scalar unknown solving
+Everything runs through one subordination relation.  The inverse
+subordination map
 
-    F(z, zeta) = 1 + (t(1-c) - S)/(2 zeta) - c t m_v(zeta) = 0,
-    S = sqrt(t^2 (1-c)^2 + 4 zeta z),
+    Phi(zeta) = zeta g^2 + (1-c) t g,    g = 1 - c t m_v(zeta),
 
-after which m, b = 1 + c t m, and the companion transform are rational in
-m_v(zeta).  The inverse subordination map
-
-    Phi(zeta) = zeta (1 - c t m_v(zeta))^2 + (1-c) t (1 - c t m_v(zeta))
-
-satisfies Phi(zeta(z)) = z and supplies the solver residual.
+sends the subordination point zeta(z) back to z, and m = m_v/g,
+b = 1 + c t m and the companion transform are rational in m_v(zeta).
 
 Off the real axis the solver walks an eta-homotopy ladder from eta_start
-down to Im z, warm-starting Newton at each level; a damped fixed-point
-sweep on m is the recovery path when a Newton step cannot improve.  All
-entry points accept arrays of evaluation points and solve them in
-lockstep.
+down to Im z and, at each level z_l, solves Phi(zeta) = z_l by Newton
+with backtracking, warm-started from the level above and kept in
+Im zeta > 0; the last level's residual |Phi(zeta) - z| is the solver's
+contract.  A damped fixed-point sweep on m is the recovery path when a
+Newton step cannot improve.  All entry points accept arrays of
+evaluation points and solve them in lockstep.
 
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
 with Im zeta > 0.  The support edges are Phi at the real critical points
-of Phi where g = 1 - c t m_v > 0; each component is walked down from its
-right edge by Newton, seeded by the quadratic expansion of Phi there, with
-the step halved whenever Newton fails.  Energies outside every component
-have density exactly 0; at t = 0 the measure is atomic and has none.
+of Phi where g > 0; each component is walked down from its right edge by
+Newton, seeded by the quadratic expansion of Phi there, with the step
+halved whenever Newton fails.  Energies outside every component have
+density exactly 0; at t = 0 the measure is atomic and has none.
 """
 
 from __future__ import annotations
@@ -119,8 +115,6 @@ class ConvolutionPoint:
 @dataclass(frozen=True)
 class SupportScan:
     intervals: tuple
-    threshold: float
-    step: float
 
 
 class SolverError(RuntimeError):
@@ -134,21 +128,6 @@ class SolverError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # solver kernels (no atom-collision guard; only used off the real axis)
-
-
-def _branch_sqrt(w: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Square root of w on the sheet continuous with the reference values."""
-    s = np.sqrt(w)
-    flip = np.abs(-s - ref) < np.abs(s - ref)
-    return np.where(flip, -s, s)
-
-
-def _F_eval(d, c, t, z_l, zeta, s_ref):
-    """F, its sqrt factor on the tracked branch, and m_v at zeta."""
-    mv = _atom_sums(d, zeta, 0)[0]
-    s = _branch_sqrt(t * t * (1.0 - c) ** 2 + 4.0 * zeta * z_l, s_ref)
-    F = 1.0 + (t * (1.0 - c) - s) / (2.0 * zeta) - c * t * mv
-    return F, s, mv
 
 
 def _fp_map(d, c, t, z_l, m):
@@ -186,16 +165,18 @@ def _fp_iterate(d, c, t, z_l, m, alpha, n_steps, tol):
 
 def _zeta_from_m(c, t, z_l, m):
     b = 1.0 + c * t * m
-    return b * b * z_l - b * t * (1.0 - c), 2.0 * z_l * b - t * (1.0 - c)
+    return b * b * z_l - b * t * (1.0 - c)
 
 
-def _newton_level(d, c, t, z_l, zeta, s_ref, tol, max_iter):
-    """Newton on F(z_l, .) = 0 for every point, with backtracking.
+def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
+    """Newton on Phi(zeta) = z_l for every point, with backtracking.
 
-    Returns updated (zeta, s_ref, mv, per-point iterations, unconverged
-    mask); a point counts the steps it entered neither converged nor stuck.
+    tol is per point.  Returns updated (zeta, m_v, per-point iterations,
+    unconverged mask); a point counts the steps it entered neither
+    converged nor stuck.
     """
-    F, s, mv = _F_eval(d, c, t, z_l, zeta, s_ref)
+    ph, dph, mv = _phi(d, c, t, zeta, 1)
+    F = ph - z_l
     absF = np.abs(F)
     used = np.zeros(zeta.shape[0], dtype=int)
     stuck = np.zeros(zeta.shape[0], dtype=bool)
@@ -204,16 +185,11 @@ def _newton_level(d, c, t, z_l, zeta, s_ref, tol, max_iter):
         if bool(np.all(done | stuck)):
             break
         used += ~(done | stuck)
-        mv1 = _atom_sums(d, zeta, 1)[1]
-        Fz = (
-            -z_l / (s * zeta)
-            - (t * (1.0 - c) - s) / (2.0 * zeta * zeta)
-            - c * t * mv1
-        )
-        step = np.where(done | stuck, 0.0, F / Fz)
+        step = np.where(done | stuck, 0.0, F / dph)
         lam = np.ones(zeta.shape[0])
         cand = zeta - step
-        Fc, sc, mvc = _F_eval(d, c, t, z_l, cand, s)
+        phc, dphc, mvc = _phi(d, c, t, cand, 1)
+        Fc = phc - z_l
         absFc = np.abs(Fc)
         for _ in range(40):
             better = ((absFc < absF) & (cand.imag > 0)) | done | stuck
@@ -221,19 +197,19 @@ def _newton_level(d, c, t, z_l, zeta, s_ref, tol, max_iter):
                 break
             lam = np.where(better, lam, lam * 0.5)
             cand = np.where(better, cand, zeta - lam * step)
-            Fc2, sc2, mvc2 = _F_eval(d, c, t, z_l, cand, s)
-            Fc = np.where(better, Fc, Fc2)
-            sc = np.where(better, sc, sc2)
+            phc2, dphc2, mvc2 = _phi(d, c, t, cand, 1)
+            Fc = np.where(better, Fc, phc2 - z_l)
+            dphc = np.where(better, dphc, dphc2)
             mvc = np.where(better, mvc, mvc2)
             absFc = np.abs(Fc)
         improved = (absFc < absF) & (cand.imag > 0) & ~done & ~stuck
         zeta = np.where(improved, cand, zeta)
         F = np.where(improved, Fc, F)
-        s = np.where(improved, sc, s)
+        dph = np.where(improved, dphc, dph)
         mv = np.where(improved, mvc, mv)
         absF = np.abs(F)
         stuck = stuck | (~improved & ~done)
-    return zeta, s, mv, used, (absF > tol)
+    return zeta, mv, used, (absF > tol)
 
 
 def _ladder(eta_start: float, factor: float, eta_floor: float) -> list:
@@ -275,7 +251,7 @@ def _solve_grid(spec, params, z, cfg, method):
     if method in ("hybrid", "fixed_point"):
         m, used, _, _ = _fp_iterate(d, c, t, z_l, m, cfg.damping, 30, fp_tol)
         iters += used
-    zeta, s_ref = _zeta_from_m(c, t, z_l, m)
+    zeta = _zeta_from_m(c, t, z_l, m)
     if np.any((1.0 + c * t * m).real <= 0):
         raise SolverError("initialization lost the Re b > 0 branch", levels[0])
 
@@ -291,11 +267,12 @@ def _solve_grid(spec, params, z, cfg, method):
                     break
             continue
 
+        # relative below |z| = 1: near the hard edge z -> 0, g ~ sqrt(|z|)
+        # and an absolute target leaves m short of its digits
+        target = 0.1 * cfg.tolerance * np.minimum(1.0, np.abs(z_l))
         budget = cfg.max_iterations
         for attempt in range(4):
-            zeta, s_ref, mv, used, bad = _newton_level(
-                d, c, t, z_l, zeta, s_ref, cfg.tolerance * 0.1, budget
-            )
+            zeta, mv, used, bad = _newton_level(d, c, t, z_l, zeta, target, budget)
             iters += used
             # the budget is batch-wide: some point was active in every step
             budget -= int(used.max())
@@ -307,17 +284,14 @@ def _solve_grid(spec, params, z, cfg, method):
                 d, c, t, z_l[bad], m_bad[bad], cfg.damping, 50, fp_tol
             )
             iters[bad] += used_fp
-            zeta_bad, s_bad = _zeta_from_m(c, t, z_l[bad], m_new)
             zeta = zeta.copy()
-            s_ref = s_ref.copy()
-            zeta[bad] = zeta_bad
-            s_ref[bad] = s_bad
+            zeta[bad] = _zeta_from_m(c, t, z_l[bad], m_new)
 
     if method == "fixed_point":
         # the update criterion does not bound the map residual directly,
         # so polish until the residual contract itself is met
         for _ in range(12):
-            zeta, s_ref = _zeta_from_m(c, t, z, m)
+            zeta = _zeta_from_m(c, t, z, m)
             residual = np.abs(_phi(d, c, t, zeta)[0] - z)
             if np.all(residual <= 0.9 * cfg.tolerance):
                 break
@@ -329,13 +303,6 @@ def _solve_grid(spec, params, z, cfg, method):
     else:
         ph, mv = _phi(d, c, t, zeta)
         residual = np.abs(ph - z)
-        if np.any(residual > cfg.tolerance):
-            zeta, s_ref, mv, used, _ = _newton_level(
-                d, c, t, z, zeta, s_ref, 1e-15, 30
-            )
-            iters += used
-            ph, mv = _phi(d, c, t, zeta)
-            residual = np.abs(ph - z)
         m = mv / (1.0 - c * t * mv)
         b = 1.0 + c * t * m
 
@@ -545,13 +512,13 @@ def _walk(d, c, t, E_right, x_c, phi2, E_desc, tol):
 
 
 def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfig | None = None):
-    """(rho, diagnostics) on an E-array for t > 0: per point eta_used,
-    residual and iteration count.
+    """(rho, diagnostics) on an E-array for t > 0: per point residual and
+    iteration count.
 
     Points inside a support component, walked down from its right edge,
-    report eta_used = 0, the residual |Phi(zeta) - E| and the Newton steps
-    of the walk segment that ended at them; points outside every component
-    (E <= 0, gaps, E >= lambda_plus) read 0 throughout.  t = 0: ValueError.
+    report the residual |Phi(zeta) - E| and the Newton steps of the walk
+    segment that ended at them; points outside every component (E <= 0,
+    gaps, E >= lambda_plus) read 0 throughout.  t = 0: ValueError.
     """
     if params.t == 0.0:
         raise ValueError("no density at t = 0: the measure is atomic")
@@ -561,7 +528,6 @@ def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfi
     k = E.shape[0]
     rho = np.zeros(k)
     diag = {
-        "eta_used": np.zeros(k),
         "residual": np.zeros(k),
         "iterations": np.zeros(k, dtype=int),
     }
@@ -594,8 +560,8 @@ def support_scan(
     """Support components that meet [lo, hi], clipped to it.
 
     The edges are exact (Phi at the real critical points), so nothing is
-    scanned: step is checked and echoed, cfg is unused, and threshold is
-    0.0, the density being positive exactly inside the intervals.
+    scanned: step is only checked and cfg is unused.  The density is
+    positive exactly inside the intervals.
     """
     if params.t <= 0:
         raise ValueError("support scan needs t > 0")
@@ -607,16 +573,16 @@ def support_scan(
         for left, right, _, _ in comps
         if right > lo and left < hi
     )
-    return SupportScan(intervals=intervals, threshold=0.0, step=step)
+    return SupportScan(intervals=intervals)
 
 
 def write_density_csv(path, spec: Spectrum, params: ModelParams, E, cfg: SolverConfig | None = None) -> None:
     rho, diag = density_diagnostics(spec, params, E, cfg)
     E = np.asarray(E, dtype=float).ravel()
     with open(path, "w") as fh:
-        fh.write("E,rho,eta_used,residual,iterations\n")
+        fh.write("E,rho,residual,iterations\n")
         for j in range(E.shape[0]):
             fh.write(
-                f"{E[j]:.17g},{rho[j]:.17g},{diag['eta_used'][j]:.17g},"
+                f"{E[j]:.17g},{rho[j]:.17g},"
                 f"{diag['residual'][j]:.17g},{int(diag['iterations'][j])}\n"
             )

@@ -166,12 +166,12 @@ def in_domain(
     edge: EdgeData,
     z: complex,
     vartheta: float,
-    c_v: float | None = None,
 ) -> bool:
     """Membership in the spectral domain where the local laws are asserted.
 
-    The domain has a main part reaching inside the spectrum and an
-    outside flank with a weaker eta floor; both cap eta at 10.
+    The domain has a main part reaching 0.375 lambda_plus inside the
+    spectrum and an outside flank as wide with a weaker eta floor; both
+    cap eta at 10.
     """
     if not (0 < vartheta < 1):
         raise ValueError("vartheta must lie in (0, 1)")
@@ -179,18 +179,16 @@ def in_domain(
     if eta <= 0:
         return False
     lam, t, n = edge.lambda_plus, params.t, params.n
-    if c_v is None:
-        c_v = 0.5 * lam
     kappa = abs(E - lam)
     floor = float(n) ** vartheta
     main = (
-        lam - 0.75 * c_v <= E
+        lam - 0.375 * lam <= E
         and (vartheta > 0 and E <= lam + t * t / vartheta)
         and n * eta * (t + np.sqrt(kappa + eta)) >= floor
         and eta <= 10.0
     )
     outside = (
-        lam <= E <= lam + 0.75 * c_v
+        lam <= E <= lam + 0.375 * lam
         and n * eta * np.sqrt(kappa + eta) >= floor
         and eta <= 10.0
     )
