@@ -42,7 +42,12 @@ class TrialRecord:
     """One simulated draw: eigenvalues of the noisy sample covariance.
 
     Vectors are populated only when an experiment asks for them:
-    left_vectors is p x p, right_vectors n x p (economy factorization).
+    left_vectors U (p x p) are the eigenvectors of Y Y^T, ordered like
+    singular_values_sq, and right_vectors (n x p) is Y^T U / s with
+    s = sqrt(singular_values_sq), so that Y = U diag(s) V^T.  A column of
+    right_vectors is 0 where s = 0; where s sits at the Gram matrix's
+    rounding level (a rank-deficient Y) it is not a unit vector, but
+    s * v = Y^T u holds in every column.
     """
 
     seed: int
@@ -130,6 +135,20 @@ def singular_values_sq(Y: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(Y @ Y.T)[::-1], 0.0)
 
 
+def _factor(Y: np.ndarray):
+    """(lam, U, V) of Y from one eigh of the Gram matrix Y Y^T.
+
+    lam descends and is clipped at 0 like singular_values_sq; V = Y^T U / s
+    comes from one product, with its columns set to 0 where s = 0.
+    """
+    lam, U = np.linalg.eigh(Y @ Y.T)
+    lam, U = np.maximum(lam[::-1], 0.0), U[:, ::-1]
+    s = np.sqrt(lam)
+    V = Y.T @ U
+    V /= np.where(s > 0.0, s, np.inf)
+    return lam, U, V
+
+
 def run_trial(
     spec: Spectrum,
     params: ModelParams,
@@ -137,17 +156,18 @@ def run_trial(
     seed: int,
     want_vectors: bool = False,
 ) -> TrialRecord:
+    """Sample one trial and factor it by the Gram route.
+
+    Every trial takes one symmetric eigensolve of the p x p matrix Y Y^T:
+    eigenvalues only, or with vectors as well, in which case the right
+    vectors come from one more product (see TrialRecord).  No trial
+    factors the p x n matrix Y itself.
+    """
     X = sample_noise(params, kind, seed)
     Y = assemble_Wt(spec, params, X)
     if want_vectors:
-        U, s, Vt = np.linalg.svd(Y, full_matrices=False)
-        return TrialRecord(
-            seed=seed,
-            kind=kind,
-            singular_values_sq=s * s,
-            left_vectors=U,
-            right_vectors=Vt.T,
-        )
+        lam, U, V = _factor(Y)
+        return TrialRecord(seed=seed, kind=kind, singular_values_sq=lam, left_vectors=U, right_vectors=V)
     return TrialRecord(seed=seed, kind=kind, singular_values_sq=singular_values_sq(Y))
 
 
@@ -211,12 +231,20 @@ def pi_split_norm(spec: Spectrum, params: ModelParams, point: ConvolutionPoint, 
     )
 
 
-def resolvent_quadratic_form(record: TrialRecord, z: complex, u: np.ndarray, v: np.ndarray) -> complex:
+def resolvent_quadratic_form(record: TrialRecord, z, u: np.ndarray, v: np.ndarray):
     """u^T G(z) v for the linearized resolvent, from the trial's factorization.
 
-    Uses the block identities tying G to the sample-covariance resolvent;
-    the pure-noise kernel of the lower block enters through the projector
-    complement, so no dense inverse is ever formed.
+    z is a scalar, which gives a complex, or a 1-d array, which gives an
+    array; every z needs Im z != 0.  With (a1, b1) = U^T (u1, v1), the
+    projections of the top blocks, and (y_u, y_v) = s V^T (u2, v2), which
+    equal U^T Y (u2, v2), the block identities give the division-free form
+
+        sum_k [a1 b1 + z^(-1/2) (a1 y_v + y_u b1) + y_u y_v / z] / (lam_k - z)
+            - u2 . v2 / z,
+
+    where the last term is the pure-noise kernel of the lower block.  No
+    1/s appears, so the form is exact where s_k = 0, and no dense inverse
+    is formed.
     """
     if record.left_vectors is None or record.right_vectors is None:
         raise ValueError("trial record lacks singular vectors; rerun with want_vectors")
@@ -227,14 +255,16 @@ def resolvent_quadratic_form(record: TrialRecord, z: complex, u: np.ndarray, v: 
     n = V.shape[0]
     if u.shape != (p + n,) or v.shape != (p + n,):
         raise ValueError(f"vectors must have length p+n={p + n}")
-    zc = complex(z)
-    if zc.imag == 0:
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValueError("z must be a scalar or a 1-d array")
+    if np.any(zs.imag == 0):
         raise ValueError("resolvent evaluation needs Im z != 0")
-    rz = 1.0 / np.sqrt(np.asarray(zc, dtype=complex))
+    za = np.atleast_1d(zs)
     s = np.sqrt(lam)
-    a1, a2 = U.T @ u[:p], V.T @ u[p:]
-    b1, b2 = U.T @ v[:p], V.T @ v[p:]
-    core = (a1 * b1 + a2 * b2 + rz * s * (a1 * b2 + a2 * b1)) / (lam - zc)
-    qf = complex(core.sum())
-    qf -= (u[p:] @ v[p:] - a2 @ b2) / zc
-    return qf
+    a1, b1 = np.stack([u[:p], v[:p]]) @ U
+    y_u, y_v = s * (np.stack([u[p:], v[p:]]) @ V)
+    rz = 1.0 / np.sqrt(za)
+    sums = np.stack([a1 * b1, a1 * y_v + y_u * b1, y_u * y_v]) @ (1.0 / (lam[:, None] - za[None, :]))
+    qf = sums[0] + rz * sums[1] + (sums[2] - u[p:] @ v[p:]) / za
+    return complex(qf[0]) if zs.ndim == 0 else qf

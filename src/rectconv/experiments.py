@@ -157,11 +157,17 @@ def _one_blas_thread():
         set_(old)
 
 
-def _run_stream(cfg: ExperimentConfig, spec: Spectrum, kind: str, stream: int, want_vectors=False):
+def _run_stream(cfg: ExperimentConfig, spec: Spectrum, kind: str, stream: int, want_vectors=False, reduce=None):
+    """The stream's trials in seed order, or reduce(record) of each one.
+
+    A reducer runs on the trial's own thread right after the trial, under
+    the same BLAS pin, so the stream holds its rows and never the records.
+    """
     seeds = [derive_seed(cfg.base_seed, stream, i) for i in range(cfg.trials)]
 
-    def work(i: int) -> TrialRecord:
-        return run_trial(spec, cfg.params, kind, seeds[i], want_vectors)
+    def work(i: int):
+        rec = run_trial(spec, cfg.params, kind, seeds[i], want_vectors)
+        return rec if reduce is None else reduce(rec)
 
     with _one_blas_thread():
         if cfg.threads > 1:
@@ -336,25 +342,27 @@ def delocalization_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     points = solve_many(spec, params, z_k, cfg.solver)
     panel = _deloc_panel(params, cfg.base_seed)
 
-    bounds = np.empty((cfg.k_max, len(panel)))
+    bounds = np.empty((len(panel), cfg.k_max))
     for k in range(cfg.k_max):
         ctrl = _phi_control(params, edge, points[k])
         for a, (_, u) in enumerate(panel):
             ue = np.concatenate([u, np.zeros(n)])
             im_pi = pi_quadratic_form(spec, params, points[k], ue, ue).imag
-            bounds[k, a] = eta_l[k] * (im_pi + ctrl * pi_split_norm(spec, params, points[k], ue))
+            bounds[a, k] = eta_l[k] * (im_pi + ctrl * pi_split_norm(spec, params, points[k], ue))
     if np.any(bounds <= 0):
         raise SolverError("nonpositive delocalization bound")
+    P = np.array([u for _, u in panel])
 
-    records = _run_stream(cfg, spec, cfg.kinds[0], 0, want_vectors=True)
+    def overlaps(rec: TrialRecord):
+        return rec.seed, (P @ rec.left_vectors[:, : cfg.k_max]) ** 2
+
+    rows = _run_stream(cfg, spec, cfg.kinds[0], 0, want_vectors=True, reduce=overlaps)
     pooled = []
     per_trial = []
-    for i, rec in enumerate(records):
-        xi = rec.left_vectors[:, : cfg.k_max]
-        overlaps = np.array([[float((u @ xi[:, k]) ** 2) for _, u in panel] for k in range(cfg.k_max)])
-        ratios = overlaps / bounds
+    for i, (seed, ov) in enumerate(rows):
+        ratios = ov / bounds
         pooled.append(ratios.ravel())
-        per_trial.append({"trial": i, "seed": rec.seed, "max_ratio": float(ratios.max())})
+        per_trial.append({"trial": i, "seed": seed, "max_ratio": float(ratios.max())})
     pooled = np.concatenate(pooled)
     p95 = _percentile(pooled, 95.0)
     summary = {
@@ -416,21 +424,22 @@ def local_law_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     m_theory = np.array([pt.m for pt in points])
     z_arr = np.array(grid)
 
-    records = _run_stream(cfg, spec, cfg.kinds[0], 0, want_vectors=True)
+    def residuals(rec: TrialRecord):
+        m_hat = _atom_sums(rec.singular_values_sq, z_arr, 0)[0]
+        avg = np.abs(m_hat - m_theory) * n * z_arr.imag
+        aniso = np.abs(resolvent_quadratic_form(rec, z_arr, u, v) - pi_uv) / denom
+        return rec.seed, avg, aniso
+
+    rows = _run_stream(cfg, spec, cfg.kinds[0], 0, want_vectors=True, reduce=residuals)
     avg_stats, aniso_stats = [], []
     per_trial = []
-    for i, rec in enumerate(records):
-        lam = rec.singular_values_sq
-        m_hat = _atom_sums(lam, z_arr, 0)[0]
-        avg = np.abs(m_hat - m_theory) * n * z_arr.imag
-        g_uv = np.array([resolvent_quadratic_form(rec, z, u, v) for z in z_arr])
-        aniso = np.abs(g_uv - pi_uv) / denom
+    for i, (seed, avg, aniso) in enumerate(rows):
         avg_stats.append(avg)
         aniso_stats.append(aniso)
         per_trial.append(
             {
                 "trial": i,
-                "seed": rec.seed,
+                "seed": seed,
                 "avg_max": float(avg.max()),
                 "aniso_max": float(aniso.max()),
             }

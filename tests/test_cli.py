@@ -218,6 +218,21 @@ def test_reports_identical_across_blas_threads(tmp_path, name, config, extra):
     assert outputs["1"][1] == outputs["2"][1]
 
 
+@pytest.mark.parametrize("name", ["locallaw", "delocalization"])
+def test_vector_reports_identical_across_threads(tmp_path, capsys, name):
+    # the per-trial reductions run on the pool threads
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_README_CONFIG))
+    outputs = {}
+    for threads in ("1", "4"):
+        out = tmp_path / f"t{threads}"
+        rc = main(["experiment", name, "--config", str(path), "--out", str(out), "--threads", threads])
+        assert rc in (0, 1)
+        outputs[threads] = [(out / f).read_bytes() for f in (f"{name}.json", f"{name}_trials.csv")]
+    capsys.readouterr()
+    assert outputs["1"] == outputs["4"]
+
+
 # ---------------------------------------------------------------------------
 # overrides
 

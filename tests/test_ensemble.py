@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rectconv import ensemble
 from rectconv import (
     ModelParams,
     NOISE_KINDS,
@@ -173,16 +174,24 @@ def test_singular_values_sq_descending_and_correct():
 
 
 def test_run_trial_vectors():
-    spec = make_spectrum([2.0] * 4 + [0.0] * 16)
-    params = ModelParams(p=20, n=30, t=0.4)
-    rec = run_trial(spec, params, "gaussian", seed=11, want_vectors=True)
-    U, V = rec.left_vectors, rec.right_vectors
-    assert U.shape == (20, 20) and V.shape == (30, 20)
-    assert np.allclose(U.T @ U, np.eye(20), atol=1e-12)
-    assert np.allclose(V.T @ V, np.eye(20), atol=1e-12)
-    Y = assemble_Wt(spec, params, sample_noise(params, "gaussian", 11))
-    recon = U @ np.diag(np.sqrt(rec.singular_values_sq)) @ V.T
-    assert np.allclose(recon, Y, atol=1e-10)
+    small = make_spectrum([2.0] * 4 + [0.0] * 16), ModelParams(p=20, n=30, t=0.4)
+    canon = canonical_sqrt_spectrum(150, 1.0), ModelParams(p=150, n=300, t=300 ** (-1.0 / 6.0))
+    for spec, params in (small, canon):
+        p, n = params.p, params.n
+        rec = run_trial(spec, params, "gaussian", seed=11, want_vectors=True)
+        U, V = rec.left_vectors, rec.right_vectors
+        assert U.shape == (p, p) and V.shape == (n, p)
+        assert np.allclose(U.T @ U, np.eye(p), atol=1e-12)
+        assert np.allclose(V.T @ V, np.eye(p), atol=1e-12)
+        Y = assemble_Wt(spec, params, sample_noise(params, "gaussian", 11))
+        recon = U @ np.diag(np.sqrt(rec.singular_values_sq)) @ V.T
+        assert np.allclose(recon, Y, atol=1e-10)
+        # the Gram route against the SVD of Y: top values, and the top five
+        # left vectors up to sign
+        U_svd, s, _ = np.linalg.svd(Y, full_matrices=False)
+        npt.assert_allclose(rec.singular_values_sq[:20], s[:20] ** 2, rtol=1e-12)
+        align = np.abs(np.sum(U[:, :5] * U_svd[:, :5], axis=0))
+        npt.assert_allclose(align, 1.0, rtol=0, atol=1e-10)
 
 
 def test_run_trial_without_vectors():
@@ -305,28 +314,77 @@ def test_pi_split_norm_positive():
 # sample resolvent
 
 
-def test_resolvent_matches_dense_inverse():
-    # the factorized bilinear form must equal a brute-force block inverse
+def _dense_resolvent(Y, z):
+    p, n = Y.shape
+    rz = np.sqrt(np.asarray(z, dtype=complex))
+    M = np.block([[-z * np.eye(p), rz * Y], [rz * Y.T, -z * np.eye(n)]])
+    return np.linalg.inv(M)
+
+
+def _resolvent_fixture():
     spec = make_spectrum([2.5, 1.0] + [0.0] * 23)
     params = ModelParams(p=25, n=40, t=0.7)
     rec = run_trial(spec, params, "gaussian", seed=19, want_vectors=True)
     Y = assemble_Wt(spec, params, sample_noise(params, "gaussian", 19))
+    return rec, Y
+
+
+def test_resolvent_matches_dense_inverse():
+    # the factorized bilinear form must equal a brute-force block inverse
+    rec, Y = _resolvent_fixture()
     rng = np.random.default_rng(55)
     for z in (1.8 + 0.2j, 0.9 + 0.01j, -0.5 + 0.6j):
-        rz = np.sqrt(np.asarray(z, dtype=complex))
-        M = np.block(
-            [
-                [-z * np.eye(25), rz * Y],
-                [rz * Y.T, -z * np.eye(40)],
-            ]
-        )
-        G = np.linalg.inv(M)
+        G = _dense_resolvent(Y, z)
         for _ in range(4):
             u = rng.standard_normal(65)
             v = rng.standard_normal(65)
             fast = resolvent_quadratic_form(rec, z, u, v)
             dense = complex(u @ G @ v)
             assert fast == pytest.approx(dense, rel=1e-9, abs=1e-11)
+
+
+def test_resolvent_vectorized_over_z():
+    rec, _ = _resolvent_fixture()
+    rng = np.random.default_rng(56)
+    u = rng.standard_normal(65)
+    v = rng.standard_normal(65)
+    zs = np.array([1.8 + 0.2j, 0.9 + 0.01j, -0.5 + 0.6j, 3.0 - 0.4j])
+    many = resolvent_quadratic_form(rec, zs, u, v)
+    assert isinstance(many, np.ndarray) and many.shape == (4,)
+    for z, g in zip(zs, many):
+        one = resolvent_quadratic_form(rec, z, u, v)
+        assert type(one) is complex
+        assert g == pytest.approx(one, rel=1e-13)
+    assert type(resolvent_quadratic_form(rec, 1.8 + 0.2j, u, u)) is complex
+    with pytest.raises(ValueError):
+        resolvent_quadratic_form(rec, np.array([1.0 + 0.1j, 0.5, 2.0 + 0.3j]), u, v)
+
+
+def test_resolvent_rank_deficient_square():
+    # p = n with two exactly zero rows and a rank-2 signal: Y has rank 28,
+    # two eigenvalues of Y Y^T are 0 and the form must still match the
+    # block inverse, with no 1/s anywhere
+    spec = make_spectrum([3.0, 1.0] + [0.0] * 28)
+    params = ModelParams(p=30, n=30, t=0.5)
+    Y = assemble_Wt(spec, params, sample_noise(params, "gaussian", 23))
+    # zero rows at the ends decouple in the tridiagonal reduction, so
+    # eigh returns their eigenvalues as exact zeros
+    Y[[0, 29]] = 0.0
+    lam, U, V = ensemble._factor(Y)
+    s = np.sqrt(lam)
+    assert np.count_nonzero(s == 0) == 2
+    assert np.all(V[:, s == 0] == 0.0)
+    npt.assert_allclose(U @ np.diag(s) @ V.T, Y, rtol=0, atol=1e-10)
+
+    rec = TrialRecord(seed=0, kind="gaussian", singular_values_sq=lam, left_vectors=U, right_vectors=V)
+    rng = np.random.default_rng(57)
+    zs = (1.5 + 0.3j, 0.05 + 0.01j, -0.8 + 0.5j)
+    for z in zs:
+        G = _dense_resolvent(Y, z)
+        for _ in range(3):
+            u = rng.standard_normal(60)
+            v = rng.standard_normal(60)
+            assert resolvent_quadratic_form(rec, z, u, v) == pytest.approx(complex(u @ G @ v), rel=1e-9)
 
 
 def test_resolvent_trace_matches_empirical_stieltjes():

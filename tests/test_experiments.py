@@ -1,6 +1,7 @@
 """Experiment harness: statistics, reports, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,6 +189,27 @@ def test_stream_runs_without_openblas_symbols(monkeypatch):
     # another BLAS build keeps its own setting
     assert seen == [before] * 4
     assert probe() == before
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_stream_reducer_rows_in_seed_order(threads):
+    cfg = _small_cfg(p=10, n=20, trials=7, threads=threads)
+    rows = experiments._run_stream(
+        cfg, cfg.spec, "gaussian", 0, reduce=lambda rec: (rec.seed, rec.singular_values_sq.tobytes())
+    )
+    assert [seed for seed, _ in rows] == [experiments.derive_seed(cfg.base_seed, 0, i) for i in range(7)]
+    records = experiments._run_stream(replace(cfg, threads=1), cfg.spec, "gaussian", 0)
+    assert rows == [(r.seed, r.singular_values_sq.tobytes()) for r in records]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_stream_reducer_runs_under_blas_pin(blas_threads, threads):
+    cfg = _small_cfg(p=10, n=20, trials=5, threads=threads)
+    seen = experiments._run_stream(
+        cfg, cfg.spec, "gaussian", 0, want_vectors=True, reduce=lambda rec: blas_threads()
+    )
+    assert seen == [1] * 5
+    assert blas_threads() == 2
 
 
 def test_rigidity_structure():
