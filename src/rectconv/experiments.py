@@ -350,7 +350,11 @@ def delocalization_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             im_pi = pi_quadratic_form(spec, params, points[k], ue, ue).imag
             bounds[a, k] = eta_l[k] * (im_pi + ctrl * pi_split_norm(spec, params, points[k], ue))
     if np.any(bounds <= 0):
-        raise SolverError("nonpositive delocalization bound")
+        a, k = np.argwhere(bounds <= 0)[0]
+        raise SolverError(
+            f"nonpositive delocalization bound {bounds[a, k]:.3e} for panel vector "
+            f"{panel[a][0]} at rank k={k + 1}, z_k={z_k[k]:.17g}"
+        )
     P = np.array([u for _, u in panel])
 
     def overlaps(rec: TrialRecord):

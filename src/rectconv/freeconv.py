@@ -13,8 +13,11 @@ down to Im z and, at each level z_l, solves Phi(zeta) = z_l by Newton
 with backtracking, warm-started from the level above and kept in
 Im zeta > 0; the last level's residual |Phi(zeta) - z| is the solver's
 contract.  A damped fixed-point sweep on m is the recovery path when a
-Newton step cannot improve.  All entry points accept arrays of
-evaluation points and solve them in lockstep.
+Newton step cannot improve, and on its own the independent cross-check
+route.  Its map m -> b m_v(zeta(m)), zeta = b^2 z_l - b t (1-c), runs on
+the same atom-sum kernel, and each sweep maps only the points that have
+not yet converged.  All entry points accept arrays of evaluation points
+and solve them in lockstep.
 
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
 with Im zeta > 0.  The support edges are Phi at the real critical points
@@ -131,36 +134,48 @@ class SolverError(RuntimeError):
 
 
 def _fp_map(d, c, t, z_l, m):
+    """The fixed-point map m -> b m_v(zeta(m)), b = 1 + c t m.
+
+    mean 1/(d/b - b z_l + t(1-c)) = b mean 1/(d - zeta) with
+    zeta = b^2 z_l - b t (1-c), so the map is one pass of the atom-sum
+    kernel; it never forms a Newton step.
+    """
     b = 1.0 + c * t * m
-    denom = d[:, None] / b[None, :] - b[None, :] * z_l[None, :] + t * (1.0 - c)
-    return (1.0 / denom).mean(axis=0)
+    return b * _atom_sums(d, _zeta_from_m(c, t, z_l, m), 0)[0]
 
 
 def _fp_iterate(d, c, t, z_l, m, alpha, n_steps, tol):
     """Damped fixed-point sweeps on m with per-point adaptive damping.
 
-    Returns (m, per-point steps, converged mask, last update size); a
-    point counts the sweeps it entered unconverged.
+    A point stops once its update meets tol * max(1, |m|) and keeps its m
+    from then on; each sweep maps only the points still active.  Returns
+    (m, per-point steps, converged mask); a point counts the sweeps it
+    entered.
     """
     k = m.shape[0]
-    alpha = np.full(k, alpha)
-    delta_prev = np.full(k, np.inf)
+    m = m.copy()
     done = np.zeros(k, dtype=bool)
     steps = np.zeros(k, dtype=int)
-    for _ in range(n_steps):
-        steps += ~done
-        f = _fp_map(d, c, t, z_l, m)
-        delta = np.abs(f - m)
-        target = tol * np.maximum(1.0, np.abs(m))
-        done = delta <= target
-        if done.all():
-            m = np.where(done, m, (1.0 - alpha) * m + alpha * f)
-            break
-        grow = delta > delta_prev
-        alpha = np.where(grow, np.maximum(0.05, alpha * 0.5), np.minimum(1.0, alpha * 1.2))
-        m = (1.0 - alpha) * m + alpha * f
+    # the live points' index, target, iterate, damping and last update size
+    live, z_a, m_a = np.arange(k), z_l, m
+    alpha, delta_prev = np.full(k, alpha), np.full(k, np.inf)
+    for sweep in range(n_steps):
+        f = _fp_map(d, c, t, z_a, m_a)
+        delta = np.abs(f - m_a)
+        hit = delta <= tol * np.maximum(1.0, np.abs(m_a))
+        if hit.any():
+            stop = live[hit]
+            done[stop], steps[stop], m[stop] = True, sweep + 1, m_a[hit]
+            keep = ~hit
+            live, z_a, m_a, f, delta = live[keep], z_a[keep], m_a[keep], f[keep], delta[keep]
+            alpha, delta_prev = alpha[keep], delta_prev[keep]
+            if live.size == 0:
+                break
+        alpha = np.where(delta > delta_prev, np.maximum(0.05, alpha * 0.5), np.minimum(1.0, alpha * 1.2))
+        m_a = (1.0 - alpha) * m_a + alpha * f
         delta_prev = delta
-    return m, steps, done, delta_prev
+    m[live], steps[live] = m_a, n_steps
+    return m, steps, done
 
 
 def _zeta_from_m(c, t, z_l, m):
@@ -249,17 +264,23 @@ def _solve_grid(spec, params, z, cfg, method):
     z_l = E + 1j * np.maximum(eta_t, levels[0])
     m = -1.0 / z_l
     if method in ("hybrid", "fixed_point"):
-        m, used, _, _ = _fp_iterate(d, c, t, z_l, m, cfg.damping, 30, fp_tol)
+        m, used, _ = _fp_iterate(d, c, t, z_l, m, cfg.damping, 30, fp_tol)
         iters += used
     zeta = _zeta_from_m(c, t, z_l, m)
-    if np.any((1.0 + c * t * m).real <= 0):
-        raise SolverError("initialization lost the Re b > 0 branch", levels[0])
+    re_b = (1.0 + c * t * m).real
+    if np.any(re_b <= 0):
+        j = int(np.argmin(re_b))
+        raise SolverError(
+            f"initialization lost the Re b > 0 branch (Re b = {re_b[j]:.3e}) "
+            f"at ladder top eta={levels[0]:.3g}, E={E[j]:.17g}, eta={eta_t[j]:.3g}",
+            levels[0],
+        )
 
     for eta_level in levels:
         z_l = E + 1j * np.maximum(eta_t, eta_level)
         if method == "fixed_point":
             for _ in range(3):
-                m, used, done, _ = _fp_iterate(
+                m, used, done = _fp_iterate(
                     d, c, t, z_l, m, cfg.damping, cfg.max_iterations, fp_tol
                 )
                 iters += used
@@ -280,7 +301,7 @@ def _solve_grid(spec, params, z, cfg, method):
                 break
             # recovery: damped fixed-point on the stalled points only
             m_bad = mv / (1.0 - c * t * mv)
-            m_new, used_fp, _, _ = _fp_iterate(
+            m_new, used_fp, _ = _fp_iterate(
                 d, c, t, z_l[bad], m_bad[bad], cfg.damping, 50, fp_tol
             )
             iters[bad] += used_fp
@@ -295,7 +316,7 @@ def _solve_grid(spec, params, z, cfg, method):
             residual = np.abs(_phi(d, c, t, zeta)[0] - z)
             if np.all(residual <= 0.9 * cfg.tolerance):
                 break
-            m, used, _, _ = _fp_iterate(
+            m, used, _ = _fp_iterate(
                 d, c, t, z, m, cfg.damping, cfg.max_iterations, fp_tol * 0.01
             )
             iters += used

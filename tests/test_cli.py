@@ -11,7 +11,7 @@ import pytest
 
 import rectconv
 from rectconv import SolverError, find_right_edge, make_spectrum, ModelParams, quantiles
-from rectconv import cli, edge, experiments
+from rectconv import cli, edge, experiments, freeconv
 from rectconv.cli import main
 
 
@@ -420,7 +420,27 @@ def test_delocalization_bound_failure_exits_three(tmp_path, capsys, monkeypatch)
     cfg = _write_config(tmp_path, trials=2, experiment={"k_max": 2})
     rc = main(["experiment", "delocalization", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
-    assert "numerical failure: nonpositive delocalization bound" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure: nonpositive delocalization bound" in err
+    # every entry is negative, so the first is the e1 vector at rank 1
+    assert "for panel vector e1 at rank k=1, z_k=" in err
+
+
+def test_initialization_failure_names_point_and_exits_three(tmp_path, capsys, monkeypatch):
+    # a start-up sweep that lands on Re b <= 0 is a numerical failure
+    def wrong_branch(d, c, t, z_l, m, alpha, n_steps, tol):
+        k = m.shape[0]
+        return np.full(k, -2.0 / (c * t), dtype=complex), np.zeros(k, dtype=int), np.ones(k, dtype=bool)
+
+    monkeypatch.setattr(freeconv, "_fp_iterate", wrong_branch)
+    cfg = _locallaw_config(tmp_path)
+    rc = main(["experiment", "locallaw", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: initialization lost the Re b > 0 branch (Re b = -1.000e+00)" in err
+    # Re b ties, so the worst point is the grid's first, z = lambda_plus + 0.5i
+    lam = json.loads((tmp_path / "locallaw.json").read_text())["experiment"]["z_grid"][0][0]
+    assert f"at ladder top eta=10, E={lam:.17g}, eta=0.5" in err
 
 
 def test_bad_density_range(tmp_path, capsys):

@@ -115,6 +115,55 @@ def test_iterations_counted_per_point():
     assert far.iterations == solve_point(spec, params, 5.0 + 0.01j).iterations
 
 
+def _mixed_batch(canonical_small):
+    # one far point and two near the right edge (lambda_plus ~ 1.66)
+    spec, params = canonical_small
+    return spec, params, np.array([1.0 + 1.0j, 1.6 + 1e-3j, 1.7 + 1e-3j])
+
+
+def test_fp_iterate_maps_only_unconverged_points(canonical_small, monkeypatch):
+    spec, params, z = _mixed_batch(canonical_small)
+    batches = []
+    real_map = freeconv._fp_map
+
+    def recording(d, c, t, z_l, m):
+        batches.append(z_l.copy())
+        return real_map(d, c, t, z_l, m)
+
+    monkeypatch.setattr(freeconv, "_fp_map", recording)
+    _, steps, done = freeconv._fp_iterate(
+        spec.values, params.c_n, params.t, z, -1.0 / z, 0.5, 200, 1e-14
+    )
+    assert done.all()
+    assert sum(b.size for b in batches) == steps.sum()
+    # the far point converges first and is mapped in exactly its own sweeps
+    assert steps[0] < steps[1:].min()
+    assert [z[0] in b for b in batches] == [True] * steps[0] + [False] * (len(batches) - steps[0])
+
+
+@pytest.mark.parametrize("n", [40, 80])  # c = 1 and c = 1/2
+def test_fp_map_matches_direct_formula(n):
+    rng = np.random.default_rng(11)
+    # clustered atoms: two tight clusters and a few repeats
+    vals = np.concatenate([1.0 + 1e-6 * rng.standard_normal(15), 2.0 + 1e-3 * rng.standard_normal(20), [0.5] * 5])
+    spec, params = make_spectrum(vals), ModelParams(p=40, n=n, t=0.3)
+    d, c, t = spec.values, params.c_n, params.t
+    z = rng.uniform(-0.5, 3.5, 40) + 1j * np.logspace(-4, np.log10(3.0), 40)
+    solved = np.array([pt.m for pt in solve_many(spec, params, z)])
+    for m in (-1.0 / z, solved):
+        b = 1.0 + c * t * m
+        direct = np.mean(1.0 / (d[:, None] / b - b * z + t * (1.0 - c)), axis=0)
+        npt.assert_allclose(freeconv._fp_map(d, c, t, z, m), direct, rtol=1e-13)
+
+
+def test_fixed_point_batch_matches_points_alone(canonical_small):
+    spec, params, z = _mixed_batch(canonical_small)
+    batch = solve_many(spec, params, z, method="fixed_point")
+    for pt in batch:
+        alone = solve_point(spec, params, pt.z, method="fixed_point")
+        assert abs(pt.m - alone.m) <= 1e-12
+
+
 def test_phi_inverts_subordination(canonical_small):
     spec, params = canonical_small
     pts = solve_many(spec, params, np.array([0.4, 0.9, 1.4]) + 0.02j)
