@@ -8,16 +8,18 @@ subordination map
 sends the subordination point zeta(z) back to z, and m = m_v/g,
 b = 1 + c t m and the companion transform are rational in m_v(zeta).
 
-Off the real axis the solver walks an eta-homotopy ladder from eta_start
+Off the real axis the solver walks an eta-homotopy ladder from eta = 10
 down to Im z and, at each level z_l, solves Phi(zeta) = z_l by Newton
 with backtracking, warm-started from the level above and kept in
 Im zeta > 0; the last level's residual |Phi(zeta) - z| is the solver's
-contract.  A damped fixed-point sweep on m is the recovery path when a
-Newton step cannot improve, and on its own the independent cross-check
-route.  Its map m -> b m_v(zeta(m)), zeta = b^2 z_l - b t (1-c), runs on
-the same atom-sum kernel, and each sweep maps only the points that have
-not yet converged.  All entry points accept arrays of evaluation points
-and solve them in lockstep.
+contract.  The ladder top starts from 30 damped fixed-point sweeps on m
+from m = -1/z: for large t that bare guess can have Re b <= 0 or lead
+Newton to a wrong root, and the sweeps reach the Re b > 0 branch.  The
+same sweeps, run at every level, make the independent cross-check
+route.  Their map m -> b m_v(zeta(m)), zeta = b^2 z_l - b t (1-c), runs
+on the same atom-sum kernel, and each sweep maps only the points that
+have not yet converged.  All entry points accept arrays of evaluation
+points and solve them in lockstep.
 
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
 with Im zeta > 0.  The support edges are Phi at the real critical points
@@ -60,27 +62,24 @@ _BISECT_STEPS = 40
 # relative to max(1, the component's right edge).
 _WALK_NEWTON = 8
 _WALK_FLOOR = 1e-12
+# Off-axis ladder: top level, ratio between levels, the fixed-point
+# sweeps' initial damping, and the sweeps that start the ladder top.
+_ETA_TOP = 10.0
+_LADDER_RATIO = 0.7
+_DAMPING = 0.5
+_START_SWEEPS = 30
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-12
     max_iterations: int = 200
-    eta_start: float = 10.0
-    homotopy_factor: float = 0.7
-    damping: float = 0.5
 
     def __post_init__(self) -> None:
         if not (0 < self.tolerance < 1e-3):
             raise ValueError("tolerance out of range")
         if self.max_iterations < 10:
             raise ValueError("max_iterations too small")
-        if not self.eta_start > 0:
-            raise ValueError("eta_start must be positive")
-        if not (0 < self.homotopy_factor < 1):
-            raise ValueError("homotopy_factor must lie in (0, 1)")
-        if not (0 < self.damping <= 1):
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -121,12 +120,9 @@ class SupportScan:
 
 
 class SolverError(RuntimeError):
-    """Self-consistent solve failed; eta_level records where on the ladder
-    (None for a failed real-axis density walk)."""
-
-    def __init__(self, message: str, eta_level: float | None = None):
-        super().__init__(message)
-        self.eta_level = eta_level
+    """Self-consistent solve failed.  The message names the stage (ladder
+    initialization, the residual after the ladder, the density walk or an
+    invariant check) and the point E, eta or z where it failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,7 @@ def _fp_map(d, c, t, z_l, m):
     return b * _atom_sums(d, _zeta_from_m(c, t, z_l, m), 0)[0]
 
 
-def _fp_iterate(d, c, t, z_l, m, alpha, n_steps, tol):
+def _fp_iterate(d, c, t, z_l, m, n_steps, tol):
     """Damped fixed-point sweeps on m with per-point adaptive damping.
 
     A point stops once its update meets tol * max(1, |m|) and keeps its m
@@ -158,7 +154,7 @@ def _fp_iterate(d, c, t, z_l, m, alpha, n_steps, tol):
     steps = np.zeros(k, dtype=int)
     # the live points' index, target, iterate, damping and last update size
     live, z_a, m_a = np.arange(k), z_l, m
-    alpha, delta_prev = np.full(k, alpha), np.full(k, np.inf)
+    alpha, delta_prev = np.full(k, _DAMPING), np.full(k, np.inf)
     for sweep in range(n_steps):
         f = _fp_map(d, c, t, z_a, m_a)
         delta = np.abs(f - m_a)
@@ -186,11 +182,11 @@ def _zeta_from_m(c, t, z_l, m):
 def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
     """Newton on Phi(zeta) = z_l for every point, with backtracking.
 
-    tol is per point.  Returns updated (zeta, m_v, per-point iterations,
-    unconverged mask); a point counts the steps it entered neither
-    converged nor stuck.
+    tol is per point.  Returns the updated zeta and the per-point
+    iterations; a point counts the steps it entered neither converged nor
+    stuck.
     """
-    ph, dph, mv = _phi(d, c, t, zeta, 1)
+    ph, dph, _ = _phi(d, c, t, zeta, 1)
     F = ph - z_l
     absF = np.abs(F)
     used = np.zeros(zeta.shape[0], dtype=int)
@@ -203,7 +199,7 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
         step = np.where(done | stuck, 0.0, F / dph)
         lam = np.ones(zeta.shape[0])
         cand = zeta - step
-        phc, dphc, mvc = _phi(d, c, t, cand, 1)
+        phc, dphc, _ = _phi(d, c, t, cand, 1)
         Fc = phc - z_l
         absFc = np.abs(Fc)
         for _ in range(40):
@@ -212,27 +208,25 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
                 break
             lam = np.where(better, lam, lam * 0.5)
             cand = np.where(better, cand, zeta - lam * step)
-            phc2, dphc2, mvc2 = _phi(d, c, t, cand, 1)
+            phc2, dphc2, _ = _phi(d, c, t, cand, 1)
             Fc = np.where(better, Fc, phc2 - z_l)
             dphc = np.where(better, dphc, dphc2)
-            mvc = np.where(better, mvc, mvc2)
             absFc = np.abs(Fc)
         improved = (absFc < absF) & (cand.imag > 0) & ~done & ~stuck
         zeta = np.where(improved, cand, zeta)
         F = np.where(improved, Fc, F)
         dph = np.where(improved, dphc, dph)
-        mv = np.where(improved, mvc, mv)
         absF = np.abs(F)
         stuck = stuck | (~improved & ~done)
-    return zeta, mv, used, (absF > tol)
+    return zeta, used
 
 
-def _ladder(eta_start: float, factor: float, eta_floor: float) -> list:
+def _ladder(eta_floor: float) -> list:
     levels = []
-    e = eta_start
+    e = _ETA_TOP
     while e > eta_floor:
         levels.append(e)
-        e *= factor
+        e *= _LADDER_RATIO
     levels.append(0.0)  # final level pins the exact targets
     return levels
 
@@ -254,7 +248,7 @@ def _solve_grid(spec, params, z, cfg, method):
         return mv, ones, z.copy(), m_under, np.zeros(z.shape[0]), np.zeros(z.shape[0], dtype=int)
 
     eta_t = z.imag
-    levels = _ladder(cfg.eta_start, cfg.homotopy_factor, eta_t.min())
+    levels = _ladder(eta_t.min())
     E = z.real
 
     iters = np.zeros(z.shape[0], dtype=int)
@@ -262,27 +256,22 @@ def _solve_grid(spec, params, z, cfg, method):
 
     # initial state at the top of the ladder
     z_l = E + 1j * np.maximum(eta_t, levels[0])
-    m = -1.0 / z_l
-    if method in ("hybrid", "fixed_point"):
-        m, used, _ = _fp_iterate(d, c, t, z_l, m, cfg.damping, 30, fp_tol)
-        iters += used
+    m, used, _ = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, fp_tol)
+    iters += used
     zeta = _zeta_from_m(c, t, z_l, m)
     re_b = (1.0 + c * t * m).real
     if np.any(re_b <= 0):
         j = int(np.argmin(re_b))
         raise SolverError(
             f"initialization lost the Re b > 0 branch (Re b = {re_b[j]:.3e}) "
-            f"at ladder top eta={levels[0]:.3g}, E={E[j]:.17g}, eta={eta_t[j]:.3g}",
-            levels[0],
+            f"at ladder top eta={levels[0]:.3g}, E={E[j]:.17g}, eta={eta_t[j]:.3g}"
         )
 
     for eta_level in levels:
         z_l = E + 1j * np.maximum(eta_t, eta_level)
         if method == "fixed_point":
             for _ in range(3):
-                m, used, done = _fp_iterate(
-                    d, c, t, z_l, m, cfg.damping, cfg.max_iterations, fp_tol
-                )
+                m, used, done = _fp_iterate(d, c, t, z_l, m, cfg.max_iterations, fp_tol)
                 iters += used
                 if done.all():
                     break
@@ -291,22 +280,8 @@ def _solve_grid(spec, params, z, cfg, method):
         # relative below |z| = 1: near the hard edge z -> 0, g ~ sqrt(|z|)
         # and an absolute target leaves m short of its digits
         target = 0.1 * cfg.tolerance * np.minimum(1.0, np.abs(z_l))
-        budget = cfg.max_iterations
-        for attempt in range(4):
-            zeta, mv, used, bad = _newton_level(d, c, t, z_l, zeta, target, budget)
-            iters += used
-            # the budget is batch-wide: some point was active in every step
-            budget -= int(used.max())
-            if not bad.any() or method == "newton" or budget <= 0:
-                break
-            # recovery: damped fixed-point on the stalled points only
-            m_bad = mv / (1.0 - c * t * mv)
-            m_new, used_fp, _ = _fp_iterate(
-                d, c, t, z_l[bad], m_bad[bad], cfg.damping, 50, fp_tol
-            )
-            iters[bad] += used_fp
-            zeta = zeta.copy()
-            zeta[bad] = _zeta_from_m(c, t, z_l[bad], m_new)
+        zeta, used = _newton_level(d, c, t, z_l, zeta, target, cfg.max_iterations)
+        iters += used
 
     if method == "fixed_point":
         # the update criterion does not bound the map residual directly,
@@ -316,9 +291,7 @@ def _solve_grid(spec, params, z, cfg, method):
             residual = np.abs(_phi(d, c, t, zeta)[0] - z)
             if np.all(residual <= 0.9 * cfg.tolerance):
                 break
-            m, used, _ = _fp_iterate(
-                d, c, t, z, m, cfg.damping, cfg.max_iterations, fp_tol * 0.01
-            )
+            m, used, _ = _fp_iterate(d, c, t, z, m, cfg.max_iterations, fp_tol * 0.01)
             iters += used
         b = 1.0 + c * t * m
     else:
@@ -332,8 +305,7 @@ def _solve_grid(spec, params, z, cfg, method):
         j = int(np.argmax(residual))
         raise SolverError(
             f"residual {residual[j]:.3e} exceeds tolerance after ladder "
-            f"at E={z[j].real:.17g}, eta={z[j].imag:.3g}",
-            0.0,
+            f"at E={z[j].real:.17g}, eta={z[j].imag:.3g}"
         )
     return m, b, zeta, m_under, residual, iters
 
@@ -375,10 +347,10 @@ def solve_point(
 ) -> ConvolutionPoint:
     """Solve the self-consistent equation at one point with Im z > 0.
 
-    method selects the route: "hybrid" (default) is homotopy plus Newton
-    with fixed-point recovery, "newton" disables the recovery sweeps, and
-    "fixed_point" never forms a Newton step, which makes it a genuinely
-    independent cross-check of the other two.
+    method selects the route: "hybrid" (default) starts the ladder top
+    with damped fixed-point sweeps and solves every level by Newton;
+    "fixed_point" runs the sweeps at every level and never forms a Newton
+    step, which makes it an independent cross-check of the default.
     """
     return solve_many(spec, params, [z], cfg, method)[0]
 
@@ -390,7 +362,7 @@ def solve_many(
     cfg: SolverConfig | None = None,
     method: str = "hybrid",
 ) -> list:
-    if method not in ("hybrid", "newton", "fixed_point"):
+    if method not in ("hybrid", "fixed_point"):
         raise ValueError(f"unknown method {method!r}")
     cfg = cfg or SolverConfig()
     m, b, zeta, m_under, residual, iters = _solve_grid(spec, params, z, cfg, method)

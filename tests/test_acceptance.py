@@ -76,7 +76,7 @@ def test_criterion_02_self_consistency_battery():
     herglotz = True
     for spec, params, z in cases:
         a = solve_point(spec, params, z, method="fixed_point")
-        b = solve_point(spec, params, z, method="newton")
+        b = solve_point(spec, params, z)
         worst_res = max(
             worst_res, abs(phi(spec, params, b.zeta) - z), a.residual, b.residual
         )

@@ -333,9 +333,11 @@ def test_bad_noise_kind(tmp_path, capsys):
 
 
 def test_unknown_solver_key(tmp_path, capsys):
-    cfg = _write_config(tmp_path, solver={"newton": True})
-    assert main(["edge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "solver" in capsys.readouterr().err
+    # the ladder's constants are not config keys, not even at their values
+    for key, value in (("newton", True), ("eta_start", 10.0), ("homotopy_factor", 0.7), ("damping", 0.5)):
+        cfg = _write_config(tmp_path, solver={key: value})
+        assert main(["edge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown solver keys" in capsys.readouterr().err
 
 
 def test_unknown_threshold_key(tmp_path, capsys):
@@ -428,7 +430,7 @@ def test_delocalization_bound_failure_exits_three(tmp_path, capsys, monkeypatch)
 
 def test_initialization_failure_names_point_and_exits_three(tmp_path, capsys, monkeypatch):
     # a start-up sweep that lands on Re b <= 0 is a numerical failure
-    def wrong_branch(d, c, t, z_l, m, alpha, n_steps, tol):
+    def wrong_branch(d, c, t, z_l, m, n_steps, tol):
         k = m.shape[0]
         return np.full(k, -2.0 / (c * t), dtype=complex), np.zeros(k, dtype=int), np.ones(k, dtype=bool)
 
