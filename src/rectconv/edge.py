@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .spectrum import ModelParams, Spectrum
 from .stieltjes import _phi
@@ -29,6 +28,10 @@ __all__ = [
 
 _BRACKET_LIMIT = 1e6
 _BRACKET_FLOOR = 1e-14
+# Newton steps on Phi' inside the bracket; a step smaller than
+# _NEWTON_XTOL relative to zeta ends the solve.
+_NEWTON_STEPS = 200
+_NEWTON_XTOL = 4.0 * np.finfo(float).eps
 
 
 class EdgeBracketError(RuntimeError):
@@ -55,10 +58,12 @@ class EdgeData:
 def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
     """Locate the right edge for t > 0 (t = 0 short-circuits to the top atom).
 
-    Brackets the critical-point equation on (d_1, d_1 + 1e6] starting at
-    offset 1e-8 * max(1, d_1), shrinking toward d_1 if the equation is
-    already positive there, and refines with a bracketed root solve to
-    relative precision 1e-12.
+    Brackets the critical-point equation Phi' = 0 on (d_1, d_1 + 1e6]
+    starting at offset 1e-8 * max(1, d_1), shrinking toward d_1 if the
+    equation is already positive there, and solves it by Newton on Phi'
+    inside the bracket, with Phi'' from the same atom-sum pass.  A step
+    that leaves the bracket, or Phi'' <= 0, is replaced by bisection; the
+    solve ends when a step falls below 4 ulp of zeta.
     """
     d1 = spec.top
     t = params.t
@@ -94,7 +99,7 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
             raise EdgeBracketError("edge equation stays negative out to d1 + 1e6")
     hi = d1 + width
 
-    zeta_plus = brentq(slope, lo, hi, rtol=1e-12, xtol=1e-15 * scale)
+    zeta_plus = _newton_in_bracket(d, c, t, lo, hi)
     lambda_plus, _, phi_second, _ = _phi(d, c, t, zeta_plus, 2)
     if not (lambda_plus > d1 and phi_second > 0.0):
         raise EdgeBracketError(
@@ -113,6 +118,23 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
         velocity=edge_velocity(spec, params, edge),
         sqrt_coeff=sqrt_coefficient(spec, params, edge),
     )
+
+
+def _newton_in_bracket(d, c, t, lo: float, hi: float) -> float:
+    """Root of Phi' in [lo, hi], where Phi'(lo) < 0 <= Phi'(hi)."""
+    x = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        _, s1, s2, _ = _phi(d, c, t, x, 2)
+        if s1 < 0.0:
+            lo = x
+        else:
+            hi = x
+        step = s1 / s2 if s2 > 0.0 else np.inf
+        if abs(step) <= _NEWTON_XTOL * x:
+            return x - step
+        # a step that leaves the bracket, or none (Phi'' <= 0): bisect
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+    raise EdgeBracketError(f"edge solve did not converge in [{lo!r}, {hi!r}]")
 
 
 def edge_velocity(spec: Spectrum, params: ModelParams, edge: EdgeData) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .freeconv import ConvolutionPoint
 from .spectrum import ModelParams, Spectrum
@@ -83,6 +82,8 @@ def _map_uniforms(u: np.ndarray, kind: str, n: int) -> np.ndarray:
     """Entries of variance 1/n from uniforms; the gaussian map overwrites u."""
     root = 1.0 / np.sqrt(n)
     if kind == "gaussian":
+        from scipy.special import ndtri
+
         ndtri(u, out=u)
         u *= root
         return u

@@ -19,7 +19,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .edge import EdgeData, find_right_edge, outlier_location, bbp_threshold
 from .ensemble import NOISE_KINDS, TrialRecord, derive_seed, pi_quadratic_form, pi_split_norm, resolvent_quadratic_form, run_trial
@@ -178,6 +177,16 @@ def _run_stream(cfg: ExperimentConfig, spec: Spectrum, kind: str, stream: int, w
 
 def _percentile(values, q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=float), q))
+
+
+def ks_2samp(a, b):
+    """scipy.stats.ks_2samp(a, b), importing scipy.stats on first call.
+
+    A module-level name, so that a profiler can wrap it here.
+    """
+    from scipy.stats import ks_2samp as _ks_2samp
+
+    return _ks_2samp(a, b)
 
 
 # ---------------------------------------------------------------------------

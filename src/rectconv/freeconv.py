@@ -68,6 +68,10 @@ _ETA_TOP = 10.0
 _LADDER_RATIO = 0.7
 _DAMPING = 0.5
 _START_SWEEPS = 30
+# Fixed-point polish of the final level: calls of _fp_iterate always
+# made while the residual contract is unmet, and the most made at all.
+_POLISH_CALLS = 12
+_POLISH_MAX = 400
 
 
 @dataclass(frozen=True)
@@ -285,12 +289,18 @@ def _solve_grid(spec, params, z, cfg, method):
 
     if method == "fixed_point":
         # the update criterion does not bound the map residual directly,
-        # so polish until the residual contract itself is met
-        for _ in range(12):
+        # so polish until the residual contract itself is met: at least
+        # _POLISH_CALLS rounds, then on while the worst residual still falls
+        worst_prev = np.inf
+        for call in range(_POLISH_MAX + 1):
             zeta = _zeta_from_m(c, t, z, m)
             residual = np.abs(_phi(d, c, t, zeta)[0] - z)
-            if np.all(residual <= 0.9 * cfg.tolerance):
+            worst = residual.max()
+            if worst <= 0.9 * cfg.tolerance or call == _POLISH_MAX:
                 break
+            if call >= _POLISH_CALLS and not worst < worst_prev:
+                break
+            worst_prev = worst
             m, used, _ = _fp_iterate(d, c, t, z, m, cfg.max_iterations, fp_tol * 0.01)
             iters += used
         b = 1.0 + c * t * m

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
-from scipy.optimize import brentq
 
 from .edge import EdgeData
 from .freeconv import SolverConfig, SolverError, density_curve
@@ -28,6 +26,7 @@ __all__ = [
 ]
 
 _GRID_POINTS = 2001  # odd, so every other point is the nested coarse grid
+_ETA_STEPS = 100  # Newton steps for eta_l; n = 1e15 needs 27
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,8 @@ def _mass_spline(spec, params, lam_plus, u_max, cfg):
     Returns the spline on the full grid and on every other grid point;
     the coarse one prices the integration error without new solves.
     """
+    from scipy.interpolate import PchipInterpolator
+
     u = np.linspace(0.0, u_max, _GRID_POINTS)
     E = lam_plus - u * u
     rho = np.zeros(_GRID_POINTS)
@@ -65,6 +66,8 @@ def _locations(spec, params, edge, targets, cfg):
     is a grid-halving estimate of the integration error, against which
     each location's defining identity can be re-checked.
     """
+    from scipy.interpolate import PPoly
+
     if params.t <= 0:
         raise ValueError("classical locations need t > 0")
     targets = np.asarray(targets, dtype=float)
@@ -147,7 +150,12 @@ def classical_locations(
 
 
 def eta_lower(params: ModelParams, kappa: float) -> float:
-    """Local scale eta_l: the root of n * eta * (t + sqrt(kappa + eta)) = 1."""
+    """Local scale eta_l: the root of f(eta) = n * eta * (t + sqrt(kappa + eta)) - 1.
+
+    f is increasing and convex on eta >= 0, so Newton from the first power
+    of two with f >= 0 falls monotonically to the root; the solve ends when
+    a step no longer lowers eta, which leaves eta within rounding of it.
+    """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     n, t = params.n, params.t
@@ -155,10 +163,16 @@ def eta_lower(params: ModelParams, kappa: float) -> float:
     def f(eta: float) -> float:
         return n * eta * (t + np.sqrt(kappa + eta)) - 1.0
 
-    hi = 1.0
-    while f(hi) < 0:
-        hi *= 2.0
-    return float(brentq(f, 0.0, hi, rtol=1e-12, xtol=1e-300))
+    eta = 1.0
+    while f(eta) < 0:
+        eta *= 2.0
+    for _ in range(_ETA_STEPS):
+        s = np.sqrt(kappa + eta)
+        new = eta - f(eta) / (n * (t + s + eta / (2.0 * s)))
+        if not new < eta:
+            break
+        eta = new
+    return float(eta)
 
 
 def in_domain(

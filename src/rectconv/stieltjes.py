@@ -17,7 +17,11 @@ from .spectrum import Spectrum
 __all__ = ["AtomCollisionError", "m_v", "m_v_derivative"]
 
 _GUARD = 1e-14
-_CHUNK = 2_000_000
+# Elements of one (atoms x points) block in _atom_sums: 128 KiB real,
+# 256 KiB complex.  Blocks this small stay in cache and are mostly reused
+# from malloc's heap; blocks of megabytes are mapped afresh and
+# page-faulted in on every call.
+_CHUNK = 16_384
 
 
 class AtomCollisionError(ValueError):

@@ -218,6 +218,45 @@ def test_reports_identical_across_blas_threads(tmp_path, name, config, extra):
     assert outputs["1"][1] == outputs["2"][1]
 
 
+_IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import rectconv, rectconv.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+found = {"import": scipy_modules()}
+for cmd in (["edge"], ["density", "--samples", "20"]):
+    rectconv.cli.main(cmd + ["--config", sys.argv[1], "--out", sys.argv[2]])
+    found[cmd[0]] = scipy_modules()
+a, b = np.random.default_rng(0).random((2, 50))
+import scipy.stats
+found["ks_equal"] = bool(
+    rectconv.experiments.ks_2samp(a, b).statistic == scipy.stats.ks_2samp(a, b).statistic
+)
+print(json.dumps(found))
+"""
+
+
+def test_edge_and_density_load_no_scipy(tmp_path):
+    # a fresh interpreter, since this process has imported scipy already
+    cfg = _write_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(rectconv.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, cfg, str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout.splitlines()[-1])
+    assert found == {"import": [], "edge": [], "density": [], "ks_equal": True}
+
+
 @pytest.mark.parametrize("name", ["locallaw", "delocalization"])
 def test_vector_reports_identical_across_threads(tmp_path, capsys, name):
     # the per-trial reductions run on the pool threads

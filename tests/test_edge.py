@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from rectconv import (
+    EdgeBracketError,
     ModelParams,
     bbp_threshold,
     canonical_sqrt_spectrum,
@@ -40,6 +41,26 @@ def test_all_zero_general_c_closed_forms():
         edge = find_right_edge(spec, params)
         npt.assert_allclose(edge.lambda_plus, t * (1 + np.sqrt(c)) ** 2, rtol=1e-10)
         npt.assert_allclose(edge.zeta_plus, np.sqrt(c) * t, rtol=1e-9)
+
+
+def test_all_zero_edge_to_rounding():
+    # the Newton solve on Phi' ends at a 4-ulp step, so the noise-only edge
+    # t (1 + sqrt(c))^2 comes out to rounding for c in {0.1, 0.5, 1}
+    for n in (200, 40, 20):
+        for t in (1e-4, 0.25, 20.0):
+            params = ModelParams(p=20, n=n, t=t)
+            edge = find_right_edge(make_spectrum(np.zeros(20)), params)
+            expected = t * (1 + np.sqrt(params.c_n)) ** 2
+            npt.assert_allclose(edge.lambda_plus, expected, rtol=1e-14, err_msg=f"n={n}, t={t}")
+
+
+def test_edge_bracket_errors():
+    # at t = 1e-30 Phi' stays positive down to d1 + 1e-14; at t = 1e7 the
+    # noise-only critical point sqrt(c) t lies beyond d1 + 1e6
+    with pytest.raises(EdgeBracketError, match="no sign change"):
+        find_right_edge(make_spectrum([1.0, 0.5]), ModelParams(p=2, n=4, t=1e-30))
+    with pytest.raises(EdgeBracketError, match="stays negative"):
+        find_right_edge(make_spectrum(np.zeros(4)), ModelParams(p=4, n=8, t=1e7))
 
 
 def test_t_zero_short_circuit():

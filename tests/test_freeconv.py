@@ -170,6 +170,38 @@ def test_fixed_point_batch_matches_points_alone(canonical_small):
         assert abs(pt.m - alone.m) <= 1e-12
 
 
+def _polish_battery_cases(picks):
+    # seed-1 battery: p in [10, 80], c in {1/4, 1/2, 0.9, 1}, atoms uniform on
+    # [0, 4], t log-uniform on [1e-4, 10], E uniform on [-1, lambda_plus + 1],
+    # eta log-uniform on [1e-4, 3]; one generator drawn per case in that order
+    rng = np.random.default_rng(1)
+    cases = {}
+    for i in range(max(picks) + 1):
+        p = int(rng.integers(10, 81))
+        c = float(rng.choice([0.25, 0.5, 0.9, 1.0]))
+        spec = make_spectrum(rng.uniform(0, 4, p))
+        t = float(np.exp(rng.uniform(np.log(1e-4), np.log(10))))
+        params = ModelParams(p=p, n=round(p / c), t=t)
+        lam = find_right_edge(spec, params).lambda_plus
+        E = float(rng.uniform(-1, lam + 1))
+        eta = float(np.exp(rng.uniform(np.log(1e-4), np.log(3))))
+        if i in picks:
+            cases[i] = (spec, params, complex(E, eta))
+    return cases
+
+
+def test_fixed_point_polish_runs_while_residual_falls():
+    # after 12 polish calls these two points still sit at residuals
+    # 1.9e-11 and 5.3e-7 while the residual keeps falling
+    cases = _polish_battery_cases((132, 280))
+    for i, E in ((132, 15.786336304912343), (280, 39.559329334800125)):
+        spec, params, z = cases[i]
+        assert z.real == pytest.approx(E, rel=1e-14)
+        fixed = solve_point(spec, params, z, method="fixed_point")
+        assert fixed.residual <= 1e-12
+        npt.assert_allclose(fixed.m, solve_point(spec, params, z).m, rtol=1e-10)
+
+
 def test_phi_inverts_subordination(canonical_small):
     spec, params = canonical_small
     pts = solve_many(spec, params, np.array([0.4, 0.9, 1.4]) + 0.02j)

@@ -135,6 +135,17 @@ def test_eta_lower_solves_defining_equation():
         )
 
 
+def test_eta_lower_to_rounding():
+    for kappa in (0.0, 1e-12, 1e-3, 10.0):
+        for t in (1e-6, 0.3, 10.0):
+            for n in (10, 10**4):
+                eta = eta_lower(ModelParams(p=1, n=n, t=t), kappa)
+                npt.assert_allclose(
+                    n * eta * (t + np.sqrt(kappa + eta)), 1.0, rtol=1e-13,
+                    err_msg=f"kappa={kappa}, t={t}, n={n}",
+                )
+
+
 def test_eta_lower_large_t_regime():
     # t >= 10 n^(-1/3): eta_l approaches 1/(n t) within 10%
     n = 1000

@@ -105,8 +105,8 @@ def test_real_axis_outside_support_is_real_and_monotone():
 
 
 def test_atom_sums_chunked_match_one_shot():
-    # p = 2,000 atoms make the chunk stride 1,000 points, so 2,500 points
-    # take three chunks, the last one partial
+    # p = 2,000 atoms make the chunk stride 8 points, so 2,500 points take
+    # 313 chunks, the last one partial
     rng = np.random.default_rng(14)
     d = np.sort(rng.uniform(0, 4, 2000))[::-1]
     zeta = rng.uniform(-2, 6, 2500) + 1j * np.exp(rng.uniform(np.log(1e-3), np.log(2), 2500))
