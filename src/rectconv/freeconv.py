@@ -23,10 +23,14 @@ points and solve them in lockstep.
 
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
 with Im zeta > 0.  The support edges are Phi at the real critical points
-of Phi where g > 0; each component is walked down from its right edge by
-Newton, seeded by the quadratic expansion of Phi there, with the step
-halved whenever Newton fails.  Energies outside every component have
-density exactly 0; at t = 0 the measure is atomic and has none.
+of Phi where g > 0; each component is walked down from its right edge in
+doubling blocks of energies, seeded by the quadratic expansion of Phi
+there and then by a linear predictor, and every block is solved by the
+ladder's own Newton with its relative target and iteration budget.  A
+root counts only inside the disc around its seed that reaches down to
+the real axis; after a failure the walk goes on one point at a time and
+halves its step.  Energies outside every component have density exactly
+0; at t = 0 the measure is atomic and has none.
 """
 
 from __future__ import annotations
@@ -58,9 +62,8 @@ __all__ = [
 # Support finder: grid points between consecutive atoms, bisection steps.
 _SUPPORT_GRID = 16
 _BISECT_STEPS = 40
-# Edge walk: Newton iterations per step, and the smallest E-step
-# relative to max(1, the component's right edge).
-_WALK_NEWTON = 8
+# Edge walk: the smallest E-step relative to max(1, the component's
+# right edge).
 _WALK_FLOOR = 1e-12
 # Off-axis ladder: top level, ratio between levels, the fixed-point
 # sweeps' initial damping, and the sweeps that start the ladder top.
@@ -130,7 +133,7 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# solver kernels (no atom-collision guard; only used off the real axis)
+# solver kernels (no atom-collision guard; for points off the real axis)
 
 
 def _fp_map(d, c, t, z_l, m):
@@ -186,17 +189,22 @@ def _zeta_from_m(c, t, z_l, m):
 def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
     """Newton on Phi(zeta) = z_l for every point, with backtracking.
 
-    tol is per point.  Returns the updated zeta and the per-point
-    iterations; a point counts the steps it entered neither converged nor
-    stuck.
+    z_l is a ladder level off the axis or an energy of the density walk.
+    A step is taken only where it lowers |Phi - z_l| and keeps Im zeta > 0,
+    and a point stops at |Phi - z_l| <= 0.1 tol min(1, |z_l|).  Returns the
+    updated zeta and the per-point iterations; a point counts the steps it
+    entered neither converged nor stuck.
     """
+    # relative below |z| = 1: near the hard edge z -> 0, g ~ sqrt(|z|)
+    # and an absolute target leaves m short of its digits
+    target = 0.1 * tol * np.minimum(1.0, np.abs(z_l))
     ph, dph, _ = _phi(d, c, t, zeta, 1)
     F = ph - z_l
     absF = np.abs(F)
     used = np.zeros(zeta.shape[0], dtype=int)
     stuck = np.zeros(zeta.shape[0], dtype=bool)
     for _ in range(max_iter):
-        done = absF <= tol
+        done = absF <= target
         if bool(np.all(done | stuck)):
             break
         used += ~(done | stuck)
@@ -281,10 +289,7 @@ def _solve_grid(spec, params, z, cfg, method):
                     break
             continue
 
-        # relative below |z| = 1: near the hard edge z -> 0, g ~ sqrt(|z|)
-        # and an absolute target leaves m short of its digits
-        target = 0.1 * cfg.tolerance * np.minimum(1.0, np.abs(z_l))
-        zeta, used = _newton_level(d, c, t, z_l, zeta, target, cfg.max_iterations)
+        zeta, used = _newton_level(d, c, t, z_l, zeta, cfg.tolerance, cfg.max_iterations)
         iters += used
 
     if method == "fixed_point":
@@ -393,36 +398,6 @@ def solve_many(
     return points
 
 
-def _walk_newton(d, c, t, E, zeta, tol):
-    """Newton on Phi(zeta) = E from a seed, kept in Im zeta > 0.
-
-    Returns (zeta, Phi', m_v, residual) or None, plus the steps taken.
-    Accepts once the residual meets tol and either sits 100 times below
-    it or stops falling (the rounding floor); gives up when a residual
-    above tol stops falling, an iterate leaves the upper half plane, or
-    the iteration budget runs out.
-    """
-    prev = np.inf
-    best = None
-    for steps in range(_WALK_NEWTON + 1):
-        ph, dph, mv = _phi(d, c, t, zeta, 1)
-        F = ph - E
-        r = abs(F)
-        if r <= tol:
-            best = (zeta, dph, mv, r)
-            if r <= 0.01 * tol or r >= 0.5 * prev:
-                return best, steps
-        elif not r < prev:
-            return best, steps
-        if steps == _WALK_NEWTON:
-            break
-        zeta = zeta - F / dph
-        if not zeta.imag > 0:
-            return best, steps + 1
-        prev = r
-    return best, _WALK_NEWTON
-
-
 def _bisect(pred, lo, hi):
     """Elementwise last point where pred holds; it holds at lo, fails at hi."""
     for _ in range(_BISECT_STEPS):
@@ -477,41 +452,59 @@ def _support(d, c, t, edge):
     return np.column_stack((left, right, x_c, np.append(close[2], edge.phi_second)))
 
 
-def _walk(d, c, t, E_right, x_c, phi2, E_desc, tol):
-    """Rows (rho, residual, steps) for E_desc, energies inside one support
-    component in descending order, walked down from its right edge E_right.
+def _walk(d, c, t, E_right, x_c, phi2, E_desc, cfg):
+    """Rows (rho, residual, iterations) for E_desc, energies inside one
+    support component in descending order, walked down from its right edge
+    E_right in blocks.
 
-    A step is seeded by the edge expansion x_c + i sqrt(2 kappa / Phi'')
-    while the walk sits at the edge, by the predictor zeta - h / Phi' after
-    that; it is halved when Newton fails and doubled after a success.  The
-    first energy left when the step falls below the floor raises SolverError.
+    Each block is seeded from the last accepted point, by the edge
+    expansion x_c + i sqrt(2 kappa / Phi'') while the walk sits at the
+    edge and by the predictor zeta - (E_cur - E) / Phi' after that, and
+    solved by one _newton_level call within cfg.max_iterations steps.  The
+    walk accepts the longest prefix whose points meet |Phi - E| <= tol with
+    Im zeta > 0 inside the disc around their seed that reaches down to the
+    real axis: the atoms and the real roots of Phi(x) = E lie on the axis,
+    and Newton from a seed that overshot ends near them, off the branch
+    the walk follows.  The block doubles after a full success.  After a
+    failure the walk takes one point at a time, halving the step through
+    intermediate energies while that point fails; the first energy left
+    when the step falls below the floor raises SolverError.
     """
+    tol = cfg.tolerance
     floor = _WALK_FLOOR * max(1.0, E_right)
-    E_cur, zeta, slope = E_right, complex(x_c), None
-    h_allow = np.inf
-    out = []
-    for E in E_desc:
-        steps = 0
-        while E_cur > E:
-            h = min(E_cur - E, h_allow)
-            E_try = E if h == E_cur - E else E_cur - h
-            if slope is None:
-                seed = complex(x_c, np.sqrt(2.0 * (E_right - E_try) / phi2))
-            else:
-                seed = zeta - h / slope
-            sol, used = _walk_newton(d, c, t, E_try, seed, tol)
-            steps += used
-            if sol is None:
-                h_allow = 0.5 * h
-                if h_allow < floor:
-                    raise SolverError(f"density walk stage: no root reached at E={E:.17g}")
-                continue
-            zeta, slope, mv, residual = sol
-            E_cur = E_try
-            h_allow = 2.0 * h
-            rho = (mv / (1.0 - c * t * mv)).imag / np.pi
-        out.append((rho, residual, steps))
-    return np.reshape(out, (-1, 3)).T
+    E_cur, zeta, slope = E_right, None, None
+    n = E_desc.shape[0]
+    out = np.zeros((3, n))
+    i, size, h, pending = 0, 1, np.inf, 0
+    while i < n:
+        gap = E_cur - E_desc[i]
+        # h is finite only while the walk recovers from a failure
+        E_blk = np.array([E_cur - h]) if gap > h else E_desc[i : i + size]
+        if slope is None:
+            seed = x_c + 1j * np.sqrt(2.0 * (E_right - E_blk) / phi2)
+        else:
+            seed = zeta - (E_cur - E_blk) / slope
+        zeta_b, used = _newton_level(d, c, t, E_blk, seed, tol, cfg.max_iterations)
+        ph, dph, mv = _phi(d, c, t, zeta_b, 1)
+        residual = np.abs(ph - E_blk)
+        ok = (residual <= tol) & (zeta_b.imag > 0) & (np.abs(zeta_b - seed) <= seed.imag)
+        k = E_blk.shape[0] if ok.all() else int(np.argmin(ok))
+        if k == 0:
+            pending += used[0]
+            h, size = 0.5 * min(gap, h), 1
+            if h < floor:
+                raise SolverError(f"density walk stage: no root reached at E={E_desc[i]:.17g}")
+            continue
+        E_cur, zeta, slope = E_blk[k - 1], zeta_b[k - 1], dph[k - 1]
+        if gap > h:
+            pending += used[0]
+            h *= 2.0
+            continue
+        used[0] += pending
+        out[:, i : i + k] = (mv[:k] / (1.0 - c * t * mv[:k])).imag / np.pi, residual[:k], used[:k]
+        i, h, pending = i + k, np.inf, 0
+        size = 2 * size if k == E_blk.shape[0] else 1
+    return out
 
 
 def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfig | None = None):
@@ -519,9 +512,11 @@ def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfi
     iteration count.
 
     Points inside a support component, walked down from its right edge,
-    report the residual |Phi(zeta) - E| and the Newton steps of the walk
-    segment that ended at them; points outside every component (E <= 0,
-    gaps, E >= lambda_plus) read 0 throughout.  t = 0: ValueError.
+    report the residual |Phi(zeta) - E| and, as iterations, the Newton
+    steps of the attempt that accepted them plus those of the failed
+    attempts and intermediate energies since the previous accepted point;
+    points outside every component (E <= 0, gaps, E >= lambda_plus) read
+    0 throughout.  t = 0: ValueError.
     """
     if params.t == 0.0:
         raise ValueError("no density at t = 0: the measure is atomic")
@@ -538,7 +533,7 @@ def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfi
         inside = np.flatnonzero((E > left) & (E < right))
         order = inside[np.argsort(-E[inside], kind="stable")]
         rho[order], diag["residual"][order], diag["iterations"][order] = _walk(
-            d, c, t, right, x_c, phi2, E[order], cfg.tolerance
+            d, c, t, right, x_c, phi2, E[order], cfg
         )
     return rho, diag
 

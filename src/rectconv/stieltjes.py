@@ -71,8 +71,8 @@ def _phi(d: np.ndarray, c: float, t: float, zeta, order: int = 0):
     z = np.asarray(zeta)
     sums = _atom_sums(d, z.reshape(-1), order)
     if z.ndim == 0:
-        # the edge solve and the edge walk call this once per point, where
-        # Python scalar arithmetic is several times cheaper than numpy's
+        # the edge solve calls this once per point, where Python scalar
+        # arithmetic is several times cheaper than numpy's
         z, sums = z.item(), sums[:, 0].tolist()
     else:
         sums = sums.reshape((order + 1,) + z.shape)

@@ -294,6 +294,18 @@ def test_density_marchenko_pastur_closed_form(n):
     npt.assert_allclose(rho, exact, rtol=0, atol=1e-12)
 
 
+def test_density_hard_edge_closed_form():
+    # c = 1, t = 1, zeros: rho = sqrt((4 - E)/E) / (2 pi) blows up at the
+    # hard edge E = 0, where Phi' ~ sqrt(E) and only the relative target
+    # keeps zeta to its digits.  Below about E = 1e-16 zeta ~ -1 + i sqrt(E)
+    # and g = 1 + 1/zeta loses digits like eps/sqrt(E): no solver does better.
+    spec, params = make_spectrum(np.zeros(100)), ModelParams(p=100, n=100, t=1.0)
+    E = np.array([1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    exact = np.sqrt((4.0 - E) / E) / (2.0 * np.pi)
+    npt.assert_allclose(density_curve(spec, params, E), exact, rtol=1e-8)
+    npt.assert_allclose([density(spec, params, e) for e in E], exact, rtol=1e-8)
+
+
 def test_density_walk_matches_ladder(canonical_small):
     # inside the support the walk agrees with the off-axis ladder; outside
     # it (left of the support, at and above the edge) the density is exactly
@@ -327,6 +339,21 @@ def test_density_walks_every_gapped_component():
     assert np.all(rho[~inside] == 0.0) and np.all(info["iterations"][~inside] == 0)
     assert np.any(rho[E < 0.9] > 0.1)
     npt.assert_allclose(rho, _ladder_density(spec, params, E), rtol=1e-8, atol=1e-10)
+
+
+def test_density_walk_keeps_its_branch_near_the_atoms():
+    # 59 evenly spaced atoms at small t: 18 components, and zeta runs close
+    # to the atoms on the real axis.  A predictor that overshoots leads
+    # Newton to a real root of Phi = E, where rho reads ~1e-289 instead of
+    # 0.02 or more; the walk must reject those roots and step back
+    spec, params = make_spectrum(np.linspace(0.0, 5.0, 59)), ModelParams(p=59, n=118, t=0.03)
+    edge = find_right_edge(spec, params)
+    E = np.linspace(0.01, edge.lambda_plus, 600)[:-1]
+    rho = density_curve(spec, params, E)
+    intervals = support_scan(spec, params, 0.0, edge.lambda_plus + 1.0, 0.1).intervals
+    inside = np.any([(E > a) & (E < b) for a, b in intervals], axis=0)
+    assert len(intervals) == 18 and np.all(rho[~inside] == 0.0)
+    npt.assert_allclose(rho[inside], _ladder_density(spec, params, E[inside]), rtol=1e-6)
 
 
 def test_density_nonnegative_above_edge(canonical_small):
