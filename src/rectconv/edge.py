@@ -59,11 +59,13 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
     """Locate the right edge for t > 0 (t = 0 short-circuits to the top atom).
 
     Brackets the critical-point equation Phi' = 0 on (d_1, d_1 + 1e6]
-    starting at offset 1e-8 * max(1, d_1), shrinking toward d_1 if the
-    equation is already positive there, and solves it by Newton on Phi'
-    inside the bracket, with Phi'' from the same atom-sum pass.  A step
-    that leaves the bracket, or Phi'' <= 0, is replaced by bisection; the
-    solve ends when a step falls below 4 ulp of zeta.
+    between neighbours of the offsets eps 2^k, eps = 1e-8 * max(1, d_1),
+    searched from the one nearest the square-root scale t^2 of xi_plus,
+    shrinking toward d_1 if the equation is already positive at eps.  It
+    solves the equation by Newton on Phi' inside the bracket, with Phi''
+    from the same atom-sum pass.  A step that leaves the bracket, or
+    Phi'' <= 0, is replaced by bisection; the solve ends when a step falls
+    below 4 ulp of zeta.
     """
     d1 = spec.top
     t = params.t
@@ -84,19 +86,29 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
 
     scale = max(1.0, d1)
     eps = 1e-8 * scale
-    while slope(d1 + eps) >= 0.0:
-        eps /= 100.0
-        if eps < _BRACKET_FLOOR * scale:
-            raise EdgeBracketError(
-                f"edge equation has no sign change above d1 + {_BRACKET_FLOOR * scale:.3e}"
-            )
-    lo = d1 + eps
-    width = eps
-    while slope(d1 + width) < 0.0:
-        lo = d1 + width
+    # start at the square-root scale t^2 of xi_plus, on the doubling grid
+    # eps 2^k, and step down the grid while the equation is positive: the
+    # bracket is the one that doubling from eps finds
+    width = eps * 2.0 ** round(np.log2(np.clip(t * t, eps, _BRACKET_LIMIT) / eps))
+    while width > eps and slope(d1 + width) >= 0.0:
+        width /= 2.0
+    if width == eps:
+        while slope(d1 + eps) >= 0.0:
+            eps /= 100.0
+            if eps < _BRACKET_FLOOR * scale:
+                raise EdgeBracketError(
+                    f"edge equation has no sign change above d1 + {_BRACKET_FLOOR * scale:.3e}"
+                )
+        width = eps
+    # the equation is negative at d1 + width
+    lo = d1 + width
+    while True:
         width *= 2.0
         if width > _BRACKET_LIMIT:
             raise EdgeBracketError("edge equation stays negative out to d1 + 1e6")
+        if slope(d1 + width) >= 0.0:
+            break
+        lo = d1 + width
     hi = d1 + width
 
     zeta_plus = _newton_in_bracket(d, c, t, lo, hi)

@@ -11,26 +11,30 @@ b = 1 + c t m and the companion transform are rational in m_v(zeta).
 Off the real axis the solver walks an eta-homotopy ladder from eta = 10
 down to Im z and, at each level z_l, solves Phi(zeta) = z_l by Newton
 with backtracking, warm-started from the level above and kept in
-Im zeta > 0; the last level's residual |Phi(zeta) - z| is the solver's
+Im zeta > 0; a point stops at its target or once it sits at the rounding
+floor of Phi.  The last level's residual |Phi(zeta) - z| is the solver's
 contract.  The ladder top starts from 30 damped fixed-point sweeps on m
 from m = -1/z: for large t that bare guess can have Re b <= 0 or lead
 Newton to a wrong root, and the sweeps reach the Re b > 0 branch.  The
 same sweeps, run at every level, make the independent cross-check
 route.  Their map m -> b m_v(zeta(m)), zeta = b^2 z_l - b t (1-c), runs
 on the same atom-sum kernel, and each sweep maps only the points that
-have not yet converged.  All entry points accept arrays of evaluation
-points and solve them in lockstep.
+have not yet converged.  The levels above the last only seed the next
+one, so there the sweeps stop at a loose update; the last level and the
+polish at z run to the full tolerance.  All entry points accept arrays
+of evaluation points and solve them in lockstep.
 
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
 with Im zeta > 0.  The support edges are Phi at the real critical points
-of Phi where g > 0; each component is walked down from its right edge in
-doubling blocks of energies, seeded by the quadratic expansion of Phi
-there and then by a linear predictor, and every block is solved by the
-ladder's own Newton with its relative target and iteration budget.  A
-root counts only inside the disc around its seed that reaches down to
-the real axis; after a failure the walk goes on one point at a time and
-halves its step.  Energies outside every component have density exactly
-0; at t = 0 the measure is atomic and has none.
+of Phi where g > 0, each found by Newton kept inside the bracket that the
+sign of g, Phi' or Phi'' sets.  Each component is walked down from its
+right edge in doubling blocks of energies, seeded by the quadratic
+expansion of Phi there and then by a linear predictor, and every block
+is solved by the ladder's own Newton with its relative target and
+iteration budget.  A root counts only inside the disc around its seed
+that reaches down to the real axis; after a failure the walk goes on one
+point at a time and halves its step.  Energies outside every component
+have density exactly 0; at t = 0 the measure is atomic and has none.
 """
 
 from __future__ import annotations
@@ -59,9 +63,15 @@ __all__ = [
     "write_density_csv",
 ]
 
-# Support finder: grid points between consecutive atoms, bisection steps.
+_EPS = np.finfo(float).eps
+# Support finder: grid points between consecutive atoms.  Its bracketed
+# Newton ends a point once the step or the bracket falls below _ROOT_XTOL
+# relative (_PEAK_XTOL at the peak of Phi', which only decides whether a
+# run exists), and after _ROOT_STEPS evaluations at the latest.
 _SUPPORT_GRID = 16
-_BISECT_STEPS = 40
+_ROOT_XTOL = 4.0 * _EPS
+_PEAK_XTOL = 1e-8
+_ROOT_STEPS = 100
 # Edge walk: the smallest E-step relative to max(1, the component's
 # right edge).
 _WALK_FLOOR = 1e-12
@@ -71,6 +81,9 @@ _ETA_TOP = 10.0
 _LADDER_RATIO = 0.7
 _DAMPING = 0.5
 _START_SWEEPS = 30
+# Fixed-point route: the update tolerance of its levels above the last,
+# which only seed the next level (the last runs to 0.01 cfg.tolerance).
+_FP_LEVEL_TOL = 1e-6
 # Fixed-point polish of the final level: calls of _fp_iterate always
 # made while the residual contract is unmet, and the most made at all.
 _POLISH_CALLS = 12
@@ -186,32 +199,57 @@ def _zeta_from_m(c, t, z_l, m):
     return b * b * z_l - b * t * (1.0 - c)
 
 
+def _rounding_floor(p, c, t, zeta, mv):
+    """Rounding level of Phi(zeta) = zeta g^2 + (1-c) t g, g = 1 - c t m_v:
+    the rounding of its terms, plus that of g carried by dPhi/dg, where
+    the p-term sum behind m_v is taken to err by sqrt(p) eps |m_v|."""
+    g = 1.0 - c * t * mv
+    ag = np.abs(g)
+    err_g = 1.0 + np.sqrt(p) * c * t * np.abs(mv)
+    dphi_dg = np.abs(2.0 * zeta * g + (1.0 - c) * t)
+    return _EPS * (np.abs(zeta) * ag * ag + (1.0 - c) * t * ag + dphi_dg * err_g)
+
+
 def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
     """Newton on Phi(zeta) = z_l for every point, with backtracking.
 
     z_l is a ladder level off the axis or an energy of the density walk.
     A step is taken only where it lowers |Phi - z_l| and keeps Im zeta > 0,
-    and a point stops at |Phi - z_l| <= 0.1 tol min(1, |z_l|).  Returns the
-    updated zeta and the per-point iterations; a point counts the steps it
-    entered neither converged nor stuck.
+    and a point stops at |Phi - z_l| <= 0.1 tol min(1, |z_l|), or once two
+    iterates in a row have |Phi - z_l| at the rounding floor of Phi at
+    their zeta.  The floor is tracked only in calls where some point starts
+    with its target below it.  Returns the updated zeta and the per-point
+    iterations; a point counts the steps it entered neither converged nor
+    stuck.
     """
     # relative below |z| = 1: near the hard edge z -> 0, g ~ sqrt(|z|)
-    # and an absolute target leaves m short of its digits
+    # and an absolute target leaves m short of its digits.  There the
+    # target also falls below the rounding floor, where the backtracking
+    # still finds a hair of improvement in the noise at every step
     target = 0.1 * tol * np.minimum(1.0, np.abs(z_l))
-    ph, dph, _ = _phi(d, c, t, zeta, 1)
+    ph, dph, mv = _phi(d, c, t, zeta, 1)
     F = ph - z_l
     absF = np.abs(F)
     used = np.zeros(zeta.shape[0], dtype=int)
     stuck = np.zeros(zeta.shape[0], dtype=bool)
+    # elsewhere the floor lies far below the target (at most a tenth of it
+    # on the theory fixture), and tracking it would cost a 12-point solve
+    # about a fifth of its time; settled marks an iterate after one at the
+    # floor
+    floor = _rounding_floor(d.size, c, t, zeta, mv)
+    track = bool(np.any(floor > target))
+    at_floor = settled = np.zeros(zeta.shape[0], dtype=bool)
     for _ in range(max_iter):
-        done = absF <= target
+        if track:
+            at_floor = absF <= floor
+        done = (absF <= target) | (at_floor & settled)
         if bool(np.all(done | stuck)):
             break
         used += ~(done | stuck)
         step = np.where(done | stuck, 0.0, F / dph)
         lam = np.ones(zeta.shape[0])
         cand = zeta - step
-        phc, dphc, _ = _phi(d, c, t, cand, 1)
+        phc, dphc, mvc = _phi(d, c, t, cand, 1)
         Fc = phc - z_l
         absFc = np.abs(Fc)
         for _ in range(40):
@@ -220,14 +258,18 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
                 break
             lam = np.where(better, lam, lam * 0.5)
             cand = np.where(better, cand, zeta - lam * step)
-            phc2, dphc2, _ = _phi(d, c, t, cand, 1)
+            phc2, dphc2, mvc2 = _phi(d, c, t, cand, 1)
             Fc = np.where(better, Fc, phc2 - z_l)
             dphc = np.where(better, dphc, dphc2)
+            mvc = np.where(better, mvc, mvc2)
             absFc = np.abs(Fc)
         improved = (absFc < absF) & (cand.imag > 0) & ~done & ~stuck
+        settled = np.where(improved, at_floor, settled)
         zeta = np.where(improved, cand, zeta)
         F = np.where(improved, Fc, F)
         dph = np.where(improved, dphc, dph)
+        if track:
+            floor = np.where(improved, _rounding_floor(d.size, c, t, cand, mvc), floor)
         absF = np.abs(F)
         stuck = stuck | (~improved & ~done)
     return zeta, used
@@ -268,7 +310,10 @@ def _solve_grid(spec, params, z, cfg, method):
 
     # initial state at the top of the ladder
     z_l = E + 1j * np.maximum(eta_t, levels[0])
-    m, used, _ = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, fp_tol)
+    # the fixed-point route's own top level, like all of its levels above
+    # the last, only seeds the next one
+    top_tol = fp_tol if method == "hybrid" else _FP_LEVEL_TOL
+    m, used, _ = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, top_tol)
     iters += used
     zeta = _zeta_from_m(c, t, z_l, m)
     re_b = (1.0 + c * t * m).real
@@ -282,8 +327,10 @@ def _solve_grid(spec, params, z, cfg, method):
     for eta_level in levels:
         z_l = E + 1j * np.maximum(eta_t, eta_level)
         if method == "fixed_point":
+            # a level above the last only seeds the next one
+            tol = fp_tol if eta_level == levels[-1] else _FP_LEVEL_TOL
             for _ in range(3):
-                m, used, done = _fp_iterate(d, c, t, z_l, m, cfg.max_iterations, fp_tol)
+                m, used, done = _fp_iterate(d, c, t, z_l, m, cfg.max_iterations, tol)
                 iters += used
                 if done.all():
                     break
@@ -398,17 +445,49 @@ def solve_many(
     return points
 
 
-def _bisect(pred, lo, hi):
-    """Elementwise last point where pred holds; it holds at lo, fails at hi."""
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        keep = pred(mid)
-        lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
-    return lo
+def _bracketed_newton(fun, lo, hi, xtol):
+    """Elementwise root in [lo, hi] by Newton kept inside the bracket.
+
+    fun(x) returns (f, f', holds) at the points x, where the test holds is
+    true at lo and false at hi; each evaluation moves its side's end to x.
+    A step that leaves the bracket is replaced by bisection.  A point stops
+    once holds is true and its step is below xtol relative, or once its
+    bracket is that narrow; a small step from the false side is doubled,
+    to land past the root.  Returns each point's last x where holds is
+    true, so the bracket contracts of the callers stay true.
+
+    The edge solve (edge._newton_in_bracket) follows the same rule on one
+    point but returns the Newton point x - f/f' from either side, whose
+    bits are lambda_plus's, in Python scalar arithmetic; it stays apart.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    out = lo.copy()
+    # the live points' index, bracket and iterate
+    live = np.arange(lo.size)
+    x = 0.5 * (lo + hi)
+    for _ in range(_ROOT_STEPS):
+        f, df, holds = fun(x)
+        lo, hi = np.where(holds, x, lo), np.where(holds, hi, x)
+        step = f / df
+        tol = xtol * np.maximum(np.abs(lo), np.abs(hi))
+        small = np.abs(step) <= tol
+        stop = (holds & small) | (hi - lo <= tol)
+        out[live[stop]] = lo[stop]
+        keep = ~stop
+        live, lo, hi, x = live[keep], lo[keep], hi[keep], x[keep]
+        if live.size == 0:
+            return out
+        step, small = step[keep], small[keep]
+        # a small step from the false side: twice the step, and one float
+        # more, toward the true side
+        x = np.where(small, np.nextafter(x - 2.0 * step, lo), x - step)
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    out[live] = lo
+    return out
 
 
-# atoms closer together than the bisection resolves put evaluation points
-# on an atom; the inf and nan there read as "g <= 0" and "no run"
+# atoms closer together than the float spacing put evaluation points on an
+# atom; the inf and nan there read as "g <= 0" and "no run"
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _support(d, c, t, edge):
     """Support components for t > 0, as rows (left, right, x_c, Phi''(x_c)).
@@ -421,30 +500,48 @@ def _support(d, c, t, edge):
     (clipped at 0).  Between consecutive distinct atoms g falls from +inf to
     -inf through one zero x_g, and Phi' < 0 just above the lower atom and
     at x_g: at most one run with Phi' > 0, found at the largest Phi' (grid,
-    then bisection on Phi''), maps onto a gap.  The top edge is edge's.
+    then the zero of Phi''), maps onto a gap.  The top edge is edge's.
+
+    Each zero (of g, Phi'' and Phi') is solved by _bracketed_newton on the
+    bracket and sign test the derivation gives, with the next derivative
+    (Phi''' for the peak) from the same atom-sum pass, and comes back from
+    the side of its bracket where the sign test holds.
     """
 
-    def slope(x, order=1):
-        return _phi(d, c, t, x, order)[order]
+    def on_phi(order, positive):
+        # Newton on the order-th derivative of Phi; the test is its sign
+        def fun(x):
+            row = _phi(d, c, t, x, order + 1)
+            return row[order], row[order + 1], (row[order] > 0.0) == positive
+
+        return fun
+
+    def on_g(x):
+        s = _atom_sums(d, x, 1)
+        return 1.0 - c * t * s[0], -c * t * s[1], c * t * s[0] < 1.0
+
+    def slope(x):
+        return _phi(d, c, t, x, 1)[1]
 
     a = np.unique(d)
     # below L = a_0 - y, m_v <= 1/y and m_v' <= 1/y^2 give g >= 0.9 and Phi' >= 0.6
     L = a[0] - max(10.0 * t, np.sqrt(10.0 * a[0] * t))
-    x_g = _bisect(lambda x: c * t * _atom_sums(d, x, 0)[0] < 1.0, np.append(L, a[:-1]), a)
+    x_g = _bracketed_newton(on_g, np.append(L, a[:-1]), a, _ROOT_XTOL)
 
     base, top = a[:-1], x_g[1:]
     h = (top - base) / (_SUPPORT_GRID + 1)
     grid = base[:, None] + h[:, None] * np.arange(1, _SUPPORT_GRID + 1)
     f = np.column_stack([slope(col) for col in grid.T])  # a column at a time: small temporaries
     j = np.arange(base.size), np.argmax(f, axis=1)
-    peak = _bisect(lambda x: slope(x, 2) > 0.0, grid[j] - h, np.minimum(grid[j] + h, top))
+    peak = _bracketed_newton(on_phi(2, True), grid[j] - h, np.minimum(grid[j] + h, top), _PEAK_XTOL)
     f_peak = slope(peak)
     peak = np.where(f_peak > f[j], peak, grid[j])
     run = np.maximum(f_peak, f[j]) > 0.0
 
     # falling crossings open components, rising ones close them
-    x_open = _bisect(lambda x: slope(x) > 0.0, np.append(L, peak[run]), x_g[np.append(True, run)])
-    x_close = _bisect(lambda x: slope(x) <= 0.0, base[run], peak[run])
+    lo_open, hi_open = np.append(L, peak[run]), x_g[np.append(True, run)]
+    x_open = _bracketed_newton(on_phi(1, True), lo_open, hi_open, _ROOT_XTOL)
+    x_close = _bracketed_newton(on_phi(1, False), base[run], peak[run], _ROOT_XTOL)
     close = _phi(d, c, t, x_close, 2)
     right = np.append(close[0], edge.lambda_plus)
     left = np.maximum(_phi(d, c, t, x_open)[0], 0.0)

@@ -62,7 +62,7 @@ def _atom_sums(d: np.ndarray, zeta: np.ndarray, order: int) -> np.ndarray:
 
 
 def _phi(d: np.ndarray, c: float, t: float, zeta, order: int = 0):
-    """Phi, its first `order` zeta-derivatives (order <= 2), and m_v at zeta.
+    """Phi, its first `order` zeta-derivatives (order <= 3), and m_v at zeta.
 
     Phi(zeta) = zeta g^2 + (1-c) t g with g = 1 - c t m_v(zeta) is the
     inverse subordination map.  Returns [Phi, Phi', ..., m_v] in the shape
@@ -85,6 +85,9 @@ def _phi(d: np.ndarray, c: float, t: float, zeta, order: int = 0):
     if order >= 2:
         g2 = -c * t * (2.0 * sums[2])
         out.append(4.0 * g * g1 + 2.0 * z * g1 * g1 + 2.0 * z * g * g2 + (1.0 - c) * t * g2)
+    if order >= 3:
+        g3 = -c * t * (6.0 * sums[3])
+        out.append(6.0 * (g1 * g1 + g * g2 + z * g1 * g2) + 2.0 * z * g * g3 + (1.0 - c) * t * g3)
     out.append(mv)
     return out
 

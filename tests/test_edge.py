@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rectconv import edge as edge_mod
 from rectconv import (
     EdgeBracketError,
     ModelParams,
@@ -18,6 +19,7 @@ from rectconv import (
     phi_derivative,
     sqrt_coefficient,
 )
+from rectconv.stieltjes import _phi
 
 
 def test_mp_unit_edge_closed_forms(mp_unit):
@@ -52,6 +54,45 @@ def test_all_zero_edge_to_rounding():
             edge = find_right_edge(make_spectrum(np.zeros(20)), params)
             expected = t * (1 + np.sqrt(params.c_n)) ** 2
             npt.assert_allclose(edge.lambda_plus, expected, rtol=1e-14, err_msg=f"n={n}, t={t}")
+
+
+def _doubling_bracket(d, c, t, d1):
+    # the bracket search from the offset eps = 1e-8 max(1, d1): shrink by
+    # 100 while Phi' >= 0 there, then double while Phi' < 0
+    def slope(x):
+        return _phi(d, c, t, x, 1)[1]
+
+    eps = 1e-8 * max(1.0, d1)
+    while slope(d1 + eps) >= 0.0:
+        eps /= 100.0
+    lo, width = d1 + eps, eps
+    while slope(d1 + width) < 0.0:
+        lo, width = d1 + width, 2.0 * width
+    return lo, d1 + width
+
+
+def test_edge_bracket_starts_at_the_sqrt_scale(monkeypatch):
+    # the search starts on the doubling grid next to t^2 and finds the
+    # bracket that doubling from eps finds, so zeta_plus keeps its bits
+    rng = np.random.default_rng(23)
+    cases = [(canonical_sqrt_spectrum(200, 1.0), ModelParams(p=200, n=400, t=0.368))]
+    cases += [(make_spectrum(np.zeros(20)), ModelParams(p=20, n=40, t=t)) for t in (1e-6, 30.0)]
+    cases += [(make_spectrum(rng.uniform(0, 3, 30)), ModelParams(p=30, n=45, t=t)) for t in (1e-3, 0.1, 2.0)]
+    for spec, params in cases:
+        d, c, t = spec.values, params.c_n, params.t
+        expected = edge_mod._newton_in_bracket(d, c, t, *_doubling_bracket(d, c, t, spec.top))
+        assert find_right_edge(spec, params).zeta_plus == expected
+    # on the README configuration the doubling from eps took 27 of 35 passes
+    passes = []
+    real_phi = edge_mod._phi
+
+    def counting(*args):
+        passes.append(args)
+        return real_phi(*args)
+
+    monkeypatch.setattr(edge_mod, "_phi", counting)
+    find_right_edge(*cases[0])
+    assert len(passes) <= 12
 
 
 def test_edge_bracket_errors():

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectconv import freeconv
+from rectconv import freeconv, stieltjes
 from rectconv import (
     ModelParams,
     SolverConfig,
@@ -170,6 +170,34 @@ def test_fixed_point_batch_matches_points_alone(canonical_small):
         assert abs(pt.m - alone.m) <= 1e-12
 
 
+def _theory_fixture():
+    # the p = 200 square-root fixture of the theory benchmark
+    n = 400
+    return canonical_sqrt_spectrum(200, 1.0), ModelParams(p=200, n=n, t=n ** (-1.0 / 6.0))
+
+
+def test_fixed_point_route_work_and_agreement(monkeypatch):
+    # the levels above the last only seed the next one and stop at a loose
+    # update; run to 0.01 tol as the last level is, the route mapped 22,835
+    # columns on this 16 x 4 grid
+    spec, params = _theory_fixture()
+    lam = find_right_edge(spec, params).lambda_plus
+    etas = np.array([1e-2, 0.05, 0.2, 1.0])
+    z = (lam * np.linspace(0.02, 1.2, 16)[:, None] + 1j * etas[None, :]).ravel()
+    columns = []
+    real_map = freeconv._fp_map
+
+    def counting(d, c, t, z_l, m):
+        columns.append(z_l.size)
+        return real_map(d, c, t, z_l, m)
+
+    monkeypatch.setattr(freeconv, "_fp_map", counting)
+    fixed = solve_many(spec, params, z, method="fixed_point")
+    assert sum(columns) <= 22_835 // 2
+    hybrid = solve_many(spec, params, z)
+    assert max(abs(a.m - b.m) for a, b in zip(fixed, hybrid)) <= 1e-12
+
+
 def _polish_battery_cases(picks):
     # seed-1 battery: p in [10, 80], c in {1/4, 1/2, 0.9, 1}, atoms uniform on
     # [0, 4], t log-uniform on [1e-4, 10], E uniform on [-1, lambda_plus + 1],
@@ -306,6 +334,20 @@ def test_density_hard_edge_closed_form():
     npt.assert_allclose([density(spec, params, e) for e in E], exact, rtol=1e-8)
 
 
+def test_density_hard_edge_stops_at_the_rounding_floor():
+    # near the hard edge the relative target lies below the rounding floor
+    # of Phi, so a point stops once two iterates in a row sit at the floor;
+    # run to the target, these points took 51, 10, 11, 121 and 200 steps
+    # (the whole budget).  The first point's count includes the walk's
+    # failed attempt and intermediate energy on its way down from the edge
+    spec, params = make_spectrum(np.zeros(100)), ModelParams(p=100, n=100, t=1.0)
+    E = np.array([1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    _, diag = density_diagnostics(spec, params, E)
+    assert np.all(diag["iterations"] <= [40, 10, 15, 10, 15])
+    # the floor there is a few eps sqrt(E): g ~ sqrt(E) carries the rounding
+    assert np.all(diag["residual"] <= 1e-14 * np.sqrt(E))
+
+
 def test_density_walk_matches_ladder(canonical_small):
     # inside the support the walk agrees with the off-axis ladder; outside
     # it (left of the support, at and above the edge) the density is exactly
@@ -433,6 +475,25 @@ def test_support_finds_cubed_uniform_narrow_gap():
     npt.assert_allclose(gap, (0.14637, 0.14657), rtol=0, atol=1e-5)
     rho = density_curve(spec, params, [gap[0] - 1e-4, 0.5 * (gap[0] + gap[1]), gap[1] + 1e-4])
     assert rho[1] == 0.0 and rho[0] > 0.1 and rho[2] > 0.1
+
+
+def test_support_finder_work(monkeypatch):
+    # bracketed Newton in place of 40-step bisections: one _support call on
+    # the theory fixture evaluated the atom sums at 19,384 points with them
+    spec, params = _theory_fixture()
+    edge = find_right_edge(spec, params)
+    points = []
+    real_sums = stieltjes._atom_sums
+
+    def counting(d, zeta, order):
+        points.append(zeta.shape[0])
+        return real_sums(d, zeta, order)
+
+    monkeypatch.setattr(stieltjes, "_atom_sums", counting)
+    monkeypatch.setattr(freeconv, "_atom_sums", counting)
+    comps = freeconv._support(spec.values, params.c_n, params.t, edge)
+    assert sum(points) <= 19_384 // 2
+    assert comps.shape == (1, 4) and comps[0, 1] == edge.lambda_plus
 
 
 def _scan_gap_edges(spec, params, lam, points=4000):

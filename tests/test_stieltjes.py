@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from rectconv import AtomCollisionError, m_v, m_v_derivative, make_spectrum
-from rectconv.stieltjes import _atom_sums
+from rectconv.stieltjes import _atom_sums, _phi
 
 
 def test_single_atom_closed_form():
@@ -50,6 +50,17 @@ def test_derivatives_match_finite_differences():
     npt.assert_allclose(m_v_derivative(spec, z, 2), fd2, rtol=1e-8)
     fd3 = (m_v_derivative(spec, z + h, 2) - m_v_derivative(spec, z - h, 2)) / (2 * h)
     npt.assert_allclose(m_v_derivative(spec, z, 3), fd3, rtol=1e-7)
+
+
+def test_phi_third_derivative_matches_finite_difference():
+    # the support finder's Newton on Phi'' takes Phi''' from _phi; on the
+    # real ray above the atoms and off the axis
+    rng = np.random.default_rng(17)
+    d, c, t, h = rng.uniform(0, 4, 25), 0.5, 0.3, 1e-6
+    for zeta in (4.7, 1.5 + 0.8j):
+        third = _phi(d, c, t, zeta, 3)[3]
+        fd = (_phi(d, c, t, zeta + h, 2)[2] - _phi(d, c, t, zeta - h, 2)[2]) / (2 * h)
+        npt.assert_allclose(third, fd, rtol=1e-7)
 
 
 def test_derivative_orders_validated():
