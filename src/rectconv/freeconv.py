@@ -13,16 +13,18 @@ down to Im z and, at each level z_l, solves Phi(zeta) = z_l by Newton
 with backtracking, warm-started from the level above and kept in
 Im zeta > 0; a point stops at its target or once it sits at the rounding
 floor of Phi.  The last level's residual |Phi(zeta) - z| is the solver's
-contract.  The ladder top starts from 30 damped fixed-point sweeps on m
-from m = -1/z: for large t that bare guess can have Re b <= 0 or lead
-Newton to a wrong root, and the sweeps reach the Re b > 0 branch.  The
-same sweeps, run at every level, make the independent cross-check
-route.  Their map m -> b m_v(zeta(m)), zeta = b^2 z_l - b t (1-c), runs
-on the same atom-sum kernel, and each sweep maps only the points that
-have not yet converged.  The levels above the last only seed the next
-one, so there the sweeps stop at a loose update; the last level and the
-polish at z run to the full tolerance.  All entry points accept arrays
-of evaluation points and solve them in lockstep.
+contract.  The ladder top starts from 30 fixed-point sweeps on m from
+m = -1/z: for large t that bare guess can have Re b <= 0 or lead Newton
+to a wrong root, and the sweeps reach the Re b > 0 branch.  The same
+sweeps, run at every level, make the independent cross-check route.
+Their map m -> b m_v(zeta(m)), zeta = b^2 z_l - b t (1-c), runs on the
+same atom-sum kernel, and each sweep maps only the points that have not
+yet converged.  A sweep takes the secant step on the residual f(m) - m
+(Anderson acceleration of depth 1) where it is safe and a damped step
+elsewhere, so the route uses map values only.  The levels above the last
+only seed the next one, so there the sweeps stop at a loose update; the
+last level and the polish at z run to the full tolerance.  All entry
+points accept arrays of evaluation points and solve them in lockstep.
 
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
 with Im zeta > 0.  The support edges are Phi at the real critical points
@@ -81,6 +83,9 @@ _ETA_TOP = 10.0
 _LADDER_RATIO = 0.7
 _DAMPING = 0.5
 _START_SWEEPS = 30
+# The fixed-point sweeps' secant step may be at most this many times the
+# plain update f(m) - m long.
+_SECANT_REACH = 4.0
 # Fixed-point route: the update tolerance of its levels above the last,
 # which only seed the next level (the last runs to 0.01 cfg.tolerance).
 _FP_LEVEL_TOL = 1e-6
@@ -161,35 +166,52 @@ def _fp_map(d, c, t, z_l, m):
 
 
 def _fp_iterate(d, c, t, z_l, m, n_steps, tol):
-    """Damped fixed-point sweeps on m with per-point adaptive damping.
+    """Fixed-point sweeps on m, each point by a safeguarded secant step on
+    the residual r = f(m) - m or else by a damped step.
 
-    A point stops once its update meets tol * max(1, |m|) and keeps its m
-    from then on; each sweep maps only the points still active.  Returns
-    (m, per-point steps, converged mask); a point counts the sweeps it
-    entered.
+    The secant step m - r (m - m_prev) / (r - r_prev) is Anderson
+    acceleration of depth 1 on a scalar unknown: it needs only map values,
+    so the route still never forms a Newton step.  A point takes it where
+    its |r| fell since its last sweep, the step is at most _SECANT_REACH |r|
+    long and it keeps Im m > 0 and Re b > 0.  Otherwise the point takes the
+    damped step m + alpha r, whose alpha halves when |r| grew and grows by
+    1.2 when it did not.  A point stops once |r| meets tol * max(1, |m|)
+    and keeps its m from then on; each sweep maps only the points still
+    active.  Returns (m, per-point steps, converged mask); a point counts
+    the sweeps it entered.
     """
     k = m.shape[0]
     m = m.copy()
     done = np.zeros(k, dtype=bool)
     steps = np.zeros(k, dtype=int)
-    # the live points' index, target, iterate, damping and last update size
+    # the live points' index, target, iterate, damping, and last iterate
+    # and residual; the first sweep has no history: its r_prev is infinite
+    # and its m_prev = m
     live, z_a, m_a = np.arange(k), z_l, m
-    alpha, delta_prev = np.full(k, _DAMPING), np.full(k, np.inf)
+    alpha, m_prev, r_prev = np.full(k, _DAMPING), m.copy(), np.full(k, np.inf, dtype=complex)
     for sweep in range(n_steps):
-        f = _fp_map(d, c, t, z_a, m_a)
-        delta = np.abs(f - m_a)
+        r = _fp_map(d, c, t, z_a, m_a) - m_a
+        delta = np.abs(r)
         hit = delta <= tol * np.maximum(1.0, np.abs(m_a))
         if hit.any():
             stop = live[hit]
             done[stop], steps[stop], m[stop] = True, sweep + 1, m_a[hit]
             keep = ~hit
-            live, z_a, m_a, f, delta = live[keep], z_a[keep], m_a[keep], f[keep], delta[keep]
-            alpha, delta_prev = alpha[keep], delta_prev[keep]
+            live, z_a, m_a, r, delta = live[keep], z_a[keep], m_a[keep], r[keep], delta[keep]
+            alpha, m_prev, r_prev = alpha[keep], m_prev[keep], r_prev[keep]
             if live.size == 0:
                 break
+        # where |dm| <= _SECANT_REACH |dr|, the step -r dm / dr is at most
+        # _SECANT_REACH |r| long; dr != 0 where |r| fell, and a zero dm (the
+        # first sweep) gives no step
+        delta_prev = np.abs(r_prev)
+        dm, dr = m_a - m_prev, r - r_prev
+        near = (delta < delta_prev) & (dm != 0) & (np.abs(dm) <= _SECANT_REACH * np.abs(dr))
+        secant = m_a - r * dm / np.where(near, dr, 1.0)
+        take = near & (secant.imag > 0) & ((1.0 + c * t * secant).real > 0)
         alpha = np.where(delta > delta_prev, np.maximum(0.05, alpha * 0.5), np.minimum(1.0, alpha * 1.2))
-        m_a = (1.0 - alpha) * m_a + alpha * f
-        delta_prev = delta
+        m_prev, r_prev = m_a, r
+        m_a = np.where(take, secant, m_a + alpha * r)
     m[live], steps[live] = m_a, n_steps
     return m, steps, done
 
@@ -218,9 +240,9 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
     and a point stops at |Phi - z_l| <= 0.1 tol min(1, |z_l|), or once two
     iterates in a row have |Phi - z_l| at the rounding floor of Phi at
     their zeta.  The floor is tracked only in calls where some point starts
-    with its target below it.  Returns the updated zeta and the per-point
-    iterations; a point counts the steps it entered neither converged nor
-    stuck.
+    with its target below it.  Returns the updated zeta, the per-point
+    iterations, and Phi - z_l, Phi' and m_v at that zeta; a point counts
+    the steps it entered neither converged nor stuck.
     """
     # relative below |z| = 1: near the hard edge z -> 0, g ~ sqrt(|z|)
     # and an absolute target leaves m short of its digits.  There the
@@ -268,11 +290,12 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
         zeta = np.where(improved, cand, zeta)
         F = np.where(improved, Fc, F)
         dph = np.where(improved, dphc, dph)
+        mv = np.where(improved, mvc, mv)
         if track:
             floor = np.where(improved, _rounding_floor(d.size, c, t, cand, mvc), floor)
         absF = np.abs(F)
         stuck = stuck | (~improved & ~done)
-    return zeta, used
+    return zeta, used, F, dph, mv
 
 
 def _ladder(eta_floor: float) -> list:
@@ -336,7 +359,7 @@ def _solve_grid(spec, params, z, cfg, method):
                     break
             continue
 
-        zeta, used = _newton_level(d, c, t, z_l, zeta, cfg.tolerance, cfg.max_iterations)
+        zeta, used, F, _, mv = _newton_level(d, c, t, z_l, zeta, cfg.tolerance, cfg.max_iterations)
         iters += used
 
     if method == "fixed_point":
@@ -357,8 +380,8 @@ def _solve_grid(spec, params, z, cfg, method):
             iters += used
         b = 1.0 + c * t * m
     else:
-        ph, mv = _phi(d, c, t, zeta)
-        residual = np.abs(ph - z)
+        # the last level's target z_l is z itself
+        residual = np.abs(F)
         m = mv / (1.0 - c * t * mv)
         b = 1.0 + c * t * m
 
@@ -581,9 +604,8 @@ def _walk(d, c, t, E_right, x_c, phi2, E_desc, cfg):
             seed = x_c + 1j * np.sqrt(2.0 * (E_right - E_blk) / phi2)
         else:
             seed = zeta - (E_cur - E_blk) / slope
-        zeta_b, used = _newton_level(d, c, t, E_blk, seed, tol, cfg.max_iterations)
-        ph, dph, mv = _phi(d, c, t, zeta_b, 1)
-        residual = np.abs(ph - E_blk)
+        zeta_b, used, F, dph, mv = _newton_level(d, c, t, E_blk, seed, tol, cfg.max_iterations)
+        residual = np.abs(F)
         ok = (residual <= tol) & (zeta_b.imag > 0) & (np.abs(zeta_b - seed) <= seed.imag)
         k = E_blk.shape[0] if ok.all() else int(np.argmin(ok))
         if k == 0:

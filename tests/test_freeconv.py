@@ -67,6 +67,17 @@ def test_solve_point_large_t_mp_closed_form(t, z):
     npt.assert_allclose(pt.m, mp_m_oracle(z / t) / t, rtol=1e-10)
 
 
+@pytest.mark.parametrize("t, z", [(20.0, 10 + 1e-3j), (50.0, 20 + 1e-2j), (300.0, 500 + 0.1j)])
+def test_fixed_point_route_large_t_mp_closed_form(t, z):
+    # plain damped sweeps converge only linearly at large t: the route took
+    # 7,357 sweeps at t = 20 and 5,491 at t = 50, and at t = 300 stalled at
+    # residual 2.4e-11; the secant step takes about a hundred
+    spec, params = make_spectrum(np.zeros(50)), ModelParams(p=50, n=50, t=t)
+    pt = solve_point(spec, params, z, method="fixed_point")
+    npt.assert_allclose(pt.m, mp_m_oracle(z / t) / t, rtol=1e-10)
+    assert pt.iterations <= 200
+
+
 def test_solve_point_methods_agree(mp_unit):
     spec, params = mp_unit
     z = 0.5 + 0.01j
@@ -179,7 +190,7 @@ def _theory_fixture():
 def test_fixed_point_route_work_and_agreement(monkeypatch):
     # the levels above the last only seed the next one and stop at a loose
     # update; run to 0.01 tol as the last level is, the route mapped 22,835
-    # columns on this 16 x 4 grid
+    # columns on this 16 x 4 grid, and 11,362 by damped sweeps alone
     spec, params = _theory_fixture()
     lam = find_right_edge(spec, params).lambda_plus
     etas = np.array([1e-2, 0.05, 0.2, 1.0])
@@ -193,7 +204,7 @@ def test_fixed_point_route_work_and_agreement(monkeypatch):
 
     monkeypatch.setattr(freeconv, "_fp_map", counting)
     fixed = solve_many(spec, params, z, method="fixed_point")
-    assert sum(columns) <= 22_835 // 2
+    assert sum(columns) <= 11_362 // 2
     hybrid = solve_many(spec, params, z)
     assert max(abs(a.m - b.m) for a, b in zip(fixed, hybrid)) <= 1e-12
 
