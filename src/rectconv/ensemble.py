@@ -91,7 +91,7 @@ def _map_uniforms(u: np.ndarray, kind: str, n: int) -> np.ndarray:
         return np.where(u < 0.5, -root, root)
     if kind == "trinary":
         amp = np.sqrt(3.0) * root
-        return np.where(u < 1.0 / 6.0, -amp, np.where(u >= 5.0 / 6.0, amp, 0.0))
+        return ((u >= 5.0 / 6.0).view(np.int8) - (u < 1.0 / 6.0).view(np.int8)) * amp
     raise ValueError(f"unknown noise kind {kind!r}; choose from {NOISE_KINDS}")
 
 

@@ -468,11 +468,12 @@ def solve_many(
     return points
 
 
-def _bracketed_newton(fun, lo, hi, xtol):
+def _bracketed_newton(fun, lo, hi, xtol, *args):
     """Elementwise root in [lo, hi] by Newton kept inside the bracket.
 
-    fun(x) returns (f, f', holds) at the points x, where the test holds is
-    true at lo and false at hi; each evaluation moves its side's end to x.
+    fun(x, *args) returns (f, f', holds) at the points x, where the test
+    holds is true at lo and false at hi; each evaluation moves its side's
+    end to x.  args are per-point arrays, passed for the live points only.
     A step that leaves the bracket is replaced by bisection.  A point stops
     once holds is true and its step is below xtol relative, or once its
     bracket is that narrow; a small step from the false side is doubled,
@@ -489,7 +490,7 @@ def _bracketed_newton(fun, lo, hi, xtol):
     live = np.arange(lo.size)
     x = 0.5 * (lo + hi)
     for _ in range(_ROOT_STEPS):
-        f, df, holds = fun(x)
+        f, df, holds = fun(x, *args)
         lo, hi = np.where(holds, x, lo), np.where(holds, hi, x)
         step = f / df
         tol = xtol * np.maximum(np.abs(lo), np.abs(hi))
@@ -498,6 +499,7 @@ def _bracketed_newton(fun, lo, hi, xtol):
         out[live[stop]] = lo[stop]
         keep = ~stop
         live, lo, hi, x = live[keep], lo[keep], hi[keep], x[keep]
+        args = tuple(a[keep] for a in args)
         if live.size == 0:
             return out
         step, small = step[keep], small[keep]

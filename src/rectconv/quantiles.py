@@ -2,9 +2,10 @@
 
 The j-th location gamma_j puts mass (j-1)/p to its right under the
 noise-convolved density; the top location is pinned to the edge itself.
-The cumulative mass is integrated in the variable u = sqrt(lambda_+ - E),
-which removes the square-root singularity at the edge, and cached as a
-monotone spline before the per-j root solves.
+On each support component [l, r], E = l + (r-l) cos^2(theta/2) makes the
+mass element rho(E) (r-l)/2 sin(theta) smooth in theta at square-root and
+hard edges alike.  Chebyshev panels in theta integrate it, summed from the
+top edge down, and each location is a root of one panel's antiderivative.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .edge import EdgeData
-from .freeconv import SolverConfig, SolverError, density_curve
+from .freeconv import _ROOT_XTOL, SolverConfig, SolverError, _bracketed_newton, _support, density_curve
 from .spectrum import ModelParams, Spectrum
 
 __all__ = [
@@ -25,102 +27,97 @@ __all__ = [
     "write_quantile_csv",
 ]
 
-_GRID_POINTS = 2001  # odd, so every other point is the nested coarse grid
+# Panels: first-kind Chebyshev nodes (never an edge), and the panels a
+# component starts with and an open panel splits into.  The density meets
+# its residual tolerance, not rounding, so a panel closes once its last
+# three coefficients fall below _TAIL_NOISE tolerances of its component's
+# largest first-round coefficient.  The quadrature gives up past _ROUNDS
+# rounds or past _MAX_NODES nodes in one round.
+_NODES = 32
+_SPLIT = 4
+_TAIL_NOISE = 100.0
+_ROUNDS = 16
+_MAX_NODES = 2**18
+_NODE_S = cheb.chebpts1(_NODES)
+_TO_COEF = np.linalg.inv(cheb.chebvander(_NODE_S, _NODES - 1)).T  # node values -> coefficients
 _ETA_STEPS = 100  # Newton steps for eta_l; n = 1e15 needs 27
 
 
 @dataclass(frozen=True)
 class QuantileTable:
-    """Descending classical locations gamma_1 > ... > gamma_{j_max}."""
+    """Descending classical locations gamma_1 > ... > gamma_{j_max}.
+
+    quad_error estimates the mass's error: the sum over the panels of
+    width times the largest of their last three Chebyshev coefficients.
+    """
 
     gamma: np.ndarray
     j_max: int
     quad_error: float
 
 
-def _mass_spline(spec, params, lam_plus, u_max, cfg):
-    """Cumulative mass C(u) of the density below the edge, u = sqrt(lam - E).
-
-    Returns the spline on the full grid and on every other grid point;
-    the coarse one prices the integration error without new solves.
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    u = np.linspace(0.0, u_max, _GRID_POINTS)
-    E = lam_plus - u * u
-    rho = np.zeros(_GRID_POINTS)
-    # the density vanishes for E <= 0; only query positive energies
-    pos = E > 1e-300
-    rho[pos] = density_curve(spec, params, E[pos], cfg)
-    g = 2.0 * u * rho
-    fine = PchipInterpolator(u, g).antiderivative()
-    coarse = PchipInterpolator(u[::2], g[::2]).antiderivative()
-    return fine, coarse
-
-
 def _locations(spec, params, edge, targets, cfg):
-    """Locations with right mass `targets` under the density, in target order.
+    """(locations with right mass `targets`, in target order; quad_error).
 
-    A zero target is the edge itself.  The cumulative-mass spline covers
-    the largest target and is solved near each target; the returned error
-    is a grid-halving estimate of the integration error, against which
-    each location's defining identity can be re-checked.
+    Each round is one density_curve call on the nodes of all open panels,
+    which are replaced in place by their parts.  A target within quad_error
+    of the mass down to a component's end is that component's left edge.
+    Neither the panels nor a root depend on the other targets.
     """
-    from scipy.interpolate import PPoly
-
     if params.t <= 0:
         raise ValueError("classical locations need t > 0")
     targets = np.asarray(targets, dtype=float)
     if targets.size == 0 or targets.min() < 0 or targets.max() >= 1:
         raise ValueError("right-mass targets must lie in [0, 1)")
-    lam = edge.lambda_plus
 
-    # initial window from the square-root model, then extend until covered
-    need = targets.max()
-    if need > 0:
-        A = edge.sqrt_coeff if np.isfinite(edge.sqrt_coeff) and edge.sqrt_coeff > 0 else 1.0
-        kappa_est = (3.0 * need / (2.0 * A)) ** (2.0 / 3.0)
-        u_max = min(np.sqrt(2.0 * kappa_est), np.sqrt(lam))
-        u_max = max(u_max, np.sqrt(lam) * 1e-3)
-    else:
-        u_max = np.sqrt(lam) * 0.1
-
-    for _ in range(24):
-        C, C2 = _mass_spline(spec, params, lam, u_max, cfg)
-        if C(u_max) >= need or u_max >= np.sqrt(lam) * (1 - 1e-12):
+    rows = _support(spec.values, params.c_n, params.t, edge)[::-1]  # (l, r, ...), top first
+    comp = np.repeat(np.arange(rows.shape[0]), _SPLIT)
+    width = np.full(comp.size, np.pi / _SPLIT)
+    lo = np.arange(comp.size) % _SPLIT * width
+    coef, todo = np.zeros((comp.size, _NODES)), np.ones(comp.size, dtype=bool)
+    for rounds in range(1, _ROUNDS + 1):
+        theta = (lo + 0.5 * width)[todo, None] + 0.5 * width[todo, None] * _NODE_S
+        left, right = rows[comp[todo], 0][:, None], rows[comp[todo], 1][:, None]
+        rho = density_curve(spec, params, (left + (right - left) * np.cos(0.5 * theta) ** 2).ravel(), cfg)
+        coef[todo] = (rho.reshape(theta.shape) * (0.5 * (right - left)) * np.sin(theta)) @ _TO_COEF
+        tail = np.abs(coef[:, -3:]).max(axis=1)
+        if rounds == 1:
+            bound = _TAIL_NOISE * cfg.tolerance * np.abs(coef).reshape(-1, _SPLIT * _NODES).max(axis=1)
+        todo = ~(tail <= bound[comp])  # a nan density keeps its panel open
+        if not todo.any():
             break
-        u_max = min(u_max * 1.5, np.sqrt(lam))
-    if C(u_max) < need:
-        raise SolverError(
-            f"window exhausted: mass {float(C(u_max)):.6g} < requested {need:.6g}"
-        )
+        if rounds == _ROUNDS or _SPLIT * _NODES * np.count_nonzero(todo) > _MAX_NODES:
+            i = np.argmax(todo)
+            raise SolverError(
+                f"quantile quadrature unresolved after {rounds} rounds: component {comp[i]} from the top, "
+                f"theta in [{lo[i]:.9g}, {lo[i] + width[i]:.9g}], tail {tail[i]:.3g} above {bound[comp[i]]:.3g}"
+            )
+        parts = np.where(todo, _SPLIT, 1)
+        first = np.repeat(np.cumsum(parts) - parts, parts)
+        width = np.repeat(width / parts, parts)
+        lo = np.repeat(lo, parts) + (np.arange(first.size) - first) * width
+        comp, coef, todo = np.repeat(comp, parts), np.repeat(coef, parts, axis=0), np.repeat(todo, parts)
 
-    # C is nondecreasing, so the first root of C = tau lies in the piece
-    # ending at the first breakpoint where C reaches tau; solving that piece
-    # and its two neighbours finds the same smallest root as solving all
-    knots = C(C.x)
-    x = np.empty(targets.size)
-    u_roots = np.zeros(targets.size)
-    for idx, tau in enumerate(targets):
-        if tau == 0:
-            x[idx] = lam
-            continue
-        i = int(np.searchsorted(knots, tau))
-        lo = max(i - 2, 0)
-        near = PPoly.construct_fast(C.c[:, lo : i + 1], C.x[lo : i + 2])
-        roots = near.solve(tau, extrapolate=False)
-        roots = roots[(roots >= 0) & (roots <= u_max)]
-        if roots.size == 0:
-            raise SolverError(f"no root for quantile {idx + 1} (right mass {tau:.6g})")
-        u_roots[idx] = roots.min()
-        x[idx] = lam - u_roots[idx] ** 2
+    quad_error = float(np.sum(width * tail))
+    anti = cheb.chebint(coef, lbnd=-1.0, axis=1) * (0.5 * width)[:, None]
+    end = np.cumsum(anti.sum(axis=1))
+    start = np.append(0.0, end[:-1])
+    comp_end = end[np.flatnonzero(np.diff(np.append(comp, rows.shape[0])))]
+    if targets.max() > comp_end[-1] + quad_error:
+        raise SolverError(f"quantile mass: found {comp_end[-1]:.6g}, requested {targets.max():.6g}")
 
-    # grid-halving error estimate from the nested coarse spline
-    disc = max(
-        (abs(float(C2(u_roots[idx])) - tau) for idx, tau in enumerate(targets) if tau > 0),
-        default=0.0,
-    )
-    quad_error = max(4.0 * disc, 1e-9)
+    def mass(theta, i, tau):
+        s = 2.0 * (theta - lo[i]) / width[i] - 1.0
+        f = start[i] + cheb.chebval(s, anti[i].T, tensor=False) - tau
+        return f, cheb.chebval(s, coef[i].T, tensor=False), f < 0.0
+
+    k = np.searchsorted(comp_end, targets - quad_error)
+    at_left = np.abs(comp_end[k] - targets) <= quad_error
+    inner = (targets > 0) & ~at_left
+    i = np.searchsorted(end, targets[inner])
+    theta = _bracketed_newton(mass, lo[i], lo[i] + width[i], _ROOT_XTOL, i, targets[inner])
+    x = np.where(at_left, rows[k, 0], edge.lambda_plus)
+    x[inner] = rows[comp[i], 0] + (rows[comp[i], 1] - rows[comp[i], 0]) * np.cos(0.5 * theta) ** 2
 
     if np.any(np.diff(x[np.argsort(targets, kind="stable")]) >= 0):
         raise SolverError("classical locations failed to decrease strictly")
@@ -136,10 +133,9 @@ def classical_locations(
 ) -> QuantileTable:
     """Table of the top j_max classical locations for t > 0.
 
-    gamma_1 is the edge exactly; deeper locations come from root solves on
-    the cached cumulative-mass spline.  quad_error is a grid-halving
-    estimate of the integration error, against which the table's defining
-    identity can be re-checked.
+    gamma_1 is the edge exactly; each deeper location's right mass, by
+    Chebyshev panels on the support components, is (j-1)/p within
+    quad_error.  Missing mass or unresolved panels raise SolverError.
     """
     if not (1 <= j_max <= params.p):
         raise ValueError(f"j_max must lie in [1, p], got {j_max}")

@@ -227,7 +227,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 found = {"import": scipy_modules()}
-for cmd in (["edge"], ["density", "--samples", "20"]):
+for cmd in (["edge"], ["density", "--samples", "20"], ["quantiles", "--jmax", "5"]):
     rectconv.cli.main(cmd + ["--config", sys.argv[1], "--out", sys.argv[2]])
     found[cmd[0]] = scipy_modules()
 a, b = np.random.default_rng(0).random((2, 50))
@@ -254,7 +254,7 @@ def test_edge_and_density_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     found = json.loads(proc.stdout.splitlines()[-1])
-    assert found == {"import": [], "edge": [], "density": [], "ks_equal": True}
+    assert found == {"import": [], "edge": [], "density": [], "quantiles": [], "ks_equal": True}
 
 
 @pytest.mark.parametrize("name", ["locallaw", "delocalization"])
@@ -426,18 +426,18 @@ def test_solver_failure_exits_three(tmp_path, capsys):
 
 
 def test_quantile_failure_exits_three(tmp_path, capsys, monkeypatch):
-    # a density that reads zero leaves no mass for the quantile window: a
+    # a density that reads zero leaves no mass for the quantiles: a
     # numerical failure (SolverError, exit 3), not a usage error
     monkeypatch.setattr(
         quantiles, "density_curve", lambda spec, params, E, cfg=None: np.zeros(len(E))
     )
     spec, params = make_spectrum([0.0] * 10), ModelParams(p=10, n=20, t=0.5)
-    with pytest.raises(SolverError, match="window exhausted"):
+    with pytest.raises(SolverError, match="quantile mass: found 0, requested 0.4"):
         quantiles.classical_locations(spec, params, 5, find_right_edge(spec, params))
     cfg = _write_config(tmp_path)
     rc = main(["quantiles", "--config", cfg, "--out", str(tmp_path / "o"), "--jmax", "5"])
     assert rc == 3
-    assert "numerical failure: window exhausted" in capsys.readouterr().err
+    assert "numerical failure: quantile mass: found 0, requested" in capsys.readouterr().err
 
 
 def test_edge_expansion_failure_exits_three(tmp_path, capsys, monkeypatch):

@@ -8,12 +8,14 @@ from rectconv import quantiles
 from rectconv import (
     ModelParams,
     SolverConfig,
+    SolverError,
     classical_locations,
     density,
     eta_lower,
     find_right_edge,
     in_domain,
     make_spectrum,
+    support_scan,
     write_quantile_csv,
 )
 
@@ -25,20 +27,21 @@ def test_gamma_one_is_edge(canonical_small):
     assert table.gamma[0] == edge.lambda_plus
 
 
-def test_mp_quantiles_closed_form(mp_unit):
-    # c = 1, t = 1: F(x) = (2/pi) arcsin(sqrt(x)/2) + sqrt(x(4-x))/(2 pi)
-    spec, params = mp_unit
-    p = params.p
+@pytest.mark.parametrize("p,j_max,bound", [(50, 12, 1e-6), (20, 20, 1e-13), (50, 50, 1e-13)])
+def test_mp_quantiles_closed_form(p, j_max, bound):
+    # c = 1, t = 1: F(x) = (2/pi) arcsin(sqrt(x)/2) + sqrt(x(4-x))/(2 pi);
+    # j_max = p reaches down to the hard edge at 0
+    spec, params = make_spectrum(np.zeros(p)), ModelParams(p=p, n=p, t=1.0)
     edge = find_right_edge(spec, params)
-    table = classical_locations(spec, params, 12, edge)
+    table = classical_locations(spec, params, j_max, edge)
 
     def F(x):
         return 2 / np.pi * np.arcsin(np.sqrt(x) / 2) + np.sqrt(x * (4 - x)) / (2 * np.pi)
 
-    for j in range(2, 13):
+    for j in range(2, j_max + 1):
         target = 1.0 - (j - 1) / p
         oracle = brentq(lambda x: F(x) - target, 1e-12, 4.0, xtol=1e-14)
-        assert abs(table.gamma[j - 1] - oracle) < 1e-6
+        assert abs(table.gamma[j - 1] - oracle) < bound
 
 
 def test_gamma_strictly_decreasing(canonical_small):
@@ -50,61 +53,64 @@ def test_gamma_strictly_decreasing(canonical_small):
     assert table.quad_error <= 1e-6
 
 
-def test_mass_against_independent_quadrature(canonical_small):
-    # adaptive quadrature of the density (sqrt substitution near the edge)
-    # re-checks the spline route: integral from gamma_j to lambda_+ = (j-1)/p
-    spec, params = canonical_small
-    edge = find_right_edge(spec, params)
-    lam = edge.lambda_plus
-    table = classical_locations(spec, params, 8, edge)
-    for j in (4, 8):
-        u_hi = np.sqrt(lam - table.gamma[j - 1])
-        val, err = quad(
-            lambda u: 2 * u * density(spec, params, lam - u * u),
-            0.0,
-            u_hi,
-            epsabs=1e-10,
-            limit=200,
-        )
-        assert abs(val - (j - 1) / params.p) < 5e-7
-
-
 def _gapped():
     # two support components, each holding half the mass
     return make_spectrum([2.0] * 20 + [0.5] * 20), ModelParams(p=40, n=400, t=0.05)
 
 
-@pytest.mark.parametrize(
-    "case,targets",
-    [
-        ("canonical_small", np.concatenate([np.arange(15) / 100, (np.arange(15) + 0.5) / 100])),
-        ("gapped", np.array([0.0, 0.1, 0.45, 0.5, 0.55, 0.7, 0.9])),
-    ],
-)
-def test_locations_match_all_piece_solve(case, targets, request, monkeypatch):
-    # solving only the pieces next to each target must give, bit for bit,
-    # the smallest root that solving every piece of the spline gives
-    spec, params = _gapped() if case == "gapped" else request.getfixturevalue(case)
-    edge = find_right_edge(spec, params)
-    splines = []
-    mass_spline = quantiles._mass_spline
-
-    def spy(spec, params, lam_plus, u_max, cfg):
-        out = mass_spline(spec, params, lam_plus, u_max, cfg)
-        splines.append((out[0], u_max))
-        return out
-
-    monkeypatch.setattr(quantiles, "_mass_spline", spy)
-    x, _ = quantiles._locations(spec, params, edge, targets, SolverConfig())
-    C, u_max = splines[-1]
-    lam = edge.lambda_plus
-    for tau, got in zip(targets, x):
-        if tau == 0:
-            assert got == lam
+def _right_mass(spec, params, x):
+    # adaptive quadrature in theta on each component [l, r] above x, with
+    # E = (l+r)/2 + (r-l)/2 cos(theta): the mass element is smooth there
+    lam = find_right_edge(spec, params).lambda_plus
+    mass = 0.0
+    for left, right in support_scan(spec, params, 0.0, 2.0 * lam, lam).intervals:
+        if right <= x:
             continue
-        roots = C.solve(tau, extrapolate=False)
-        roots = roots[(roots >= 0) & (roots <= u_max)]
-        assert got == lam - roots.min() ** 2
+        mid, half = 0.5 * (left + right), 0.5 * (right - left)
+        top = np.arccos(np.clip((x - mid) / half, -1.0, 1.0))
+        mass += quad(
+            lambda th: density(spec, params, mid + half * np.cos(th)) * half * np.sin(th),
+            0.0,
+            top,
+            epsabs=1e-13,
+            limit=200,
+        )[0]
+    return mass
+
+
+def test_mass_against_independent_quadrature(canonical_small):
+    # the right mass of gamma_j is (j-1)/p, by an adaptive quadrature
+    # independent of the Chebyshev panels
+    cases = [(canonical_small, (4, 8, 15)), (_gapped(), (5, 21, 23, 30, 39))]
+    for (spec, params), js in cases:
+        edge = find_right_edge(spec, params)
+        table = classical_locations(spec, params, max(js), edge)
+        for j in js:
+            assert abs(_right_mass(spec, params, table.gamma[j - 1]) - (j - 1) / params.p) < 1e-10
+
+    # on the gapped spectrum each location is the same, bit for bit, when
+    # requested alone, and the half-mass location is the top component's
+    # left edge rather than a point in the gap
+    spec, params = _gapped()
+    edge = find_right_edge(spec, params)
+    targets = np.array([0.0, 0.1, 0.45, 0.5, 0.55, 0.7, 0.9])
+    x, quad_error = quantiles._locations(spec, params, edge, targets, SolverConfig())
+    for tau, got in zip(targets, x):
+        assert quantiles._locations(spec, params, edge, [tau], SolverConfig())[0][0] == got
+    assert quad_error < 1e-12
+    top = support_scan(spec, params, 0.0, 2.0 * edge.lambda_plus, 1.0).intervals[-1]
+    assert classical_locations(spec, params, 21, edge).gamma[20] == top[0]
+
+
+def test_unresolved_quadrature_names_component(monkeypatch):
+    # a jump inside the support resolves at no panel width: the cap on
+    # refinement rounds names the component, the theta range and the tail
+    monkeypatch.setattr(
+        quantiles, "density_curve", lambda spec, params, E, cfg=None: np.where(E > 1.0, 1.0, 0.5)
+    )
+    spec, params = make_spectrum([0.0] * 10), ModelParams(p=10, n=20, t=0.5)
+    with pytest.raises(SolverError, match=r"component 0 from the top, theta in \[.+\], tail"):
+        classical_locations(spec, params, 5, find_right_edge(spec, params))
 
 
 def test_classical_locations_validates_args(canonical_small):
