@@ -511,6 +511,19 @@ def _bracketed_newton(fun, lo, hi, xtol, *args):
     return out
 
 
+# an atom at 0 gives K = 0 and an infinite cap: its interval is kept
+@np.errstate(divide="ignore")
+def _gaps_may_open(a, c, t, p):
+    """Mask of the intervals (a_i, a_{i+1}) between the consecutive distinct
+    atoms a where the spacing certificate of _support does not rule out a
+    gap; p counts the atoms with their multiplicity."""
+    lo, delta = a[:-1], np.diff(a)
+    K = 2.0 * lo / (c * t)
+    cap = 1.0 + (1.0 + np.sqrt(1.0 + 4.0 * K)) / (2.0 * K)
+    # the factor 2 is a margin for rounding
+    return ~((lo > 0.0) & (16.0 * c * t * lo / (p * delta**2) >= 2.0 * cap))
+
+
 # atoms closer together than the float spacing put evaluation points on an
 # atom; the inf and nan there read as "g <= 0" and "no run"
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -526,6 +539,18 @@ def _support(d, c, t, edge):
     -inf through one zero x_g, and Phi' < 0 just above the lower atom and
     at x_g: at most one run with Phi' > 0, found at the largest Phi' (grid,
     then the zero of Phi''), maps onto a gap.  The top edge is edge's.
+
+    Most intervals between atoms are screened out before any root is
+    solved.  Take consecutive distinct atoms a < a' with a > 0 and
+    delta = a' - a.  Wherever g > 0 on (a, a'), c <= 1 and g' = -c t m_v'
+    give Phi' <= g (g - u) with u = 2 c t x m_v'.  Jensen (m_v' >= m_v^2)
+    caps g at 1 + sqrt(u / K) with K = 2x / (c t), which is at most u once
+    u >= cap = 1 + (1 + sqrt(1 + 4K)) / (2K).  The two atoms give
+    m_v' >= 8 / (p delta^2), p counting multiplicity.  So when
+    16 c t x / (p delta^2) >= cap, Phi' <= 0 wherever g > 0 and no gap
+    opens; x = a is the worst case, since the left side grows with x and
+    cap falls.  _gaps_may_open tests this at x = a with a factor 2 to
+    spare, and only the lowest interval and the kept ones are searched.
 
     Each zero (of g, Phi'' and Phi') is solved by _bracketed_newton on the
     bracket and sign test the derivation gives, with the next derivative
@@ -551,9 +576,12 @@ def _support(d, c, t, edge):
     a = np.unique(d)
     # below L = a_0 - y, m_v <= 1/y and m_v' <= 1/y^2 give g >= 0.9 and Phi' >= 0.6
     L = a[0] - max(10.0 * t, np.sqrt(10.0 * a[0] * t))
-    x_g = _bracketed_newton(on_g, np.append(L, a[:-1]), a, _ROOT_XTOL)
+    keep = _gaps_may_open(a, c, t, d.size)
+    # the lowest interval's zero of g in the same batch as the kept ones': a
+    # batch of one point has other low bits (_atom_sums sums it pairwise)
+    x_g = _bracketed_newton(on_g, np.append(L, a[:-1][keep]), np.append(a[0], a[1:][keep]), _ROOT_XTOL)
 
-    base, top = a[:-1], x_g[1:]
+    base, top = a[:-1][keep], x_g[1:]
     h = (top - base) / (_SUPPORT_GRID + 1)
     grid = base[:, None] + h[:, None] * np.arange(1, _SUPPORT_GRID + 1)
     f = np.column_stack([slope(col) for col in grid.T])  # a column at a time: small temporaries

@@ -488,10 +488,8 @@ def test_support_finds_cubed_uniform_narrow_gap():
     assert rho[1] == 0.0 and rho[0] > 0.1 and rho[2] > 0.1
 
 
-def test_support_finder_work(monkeypatch):
-    # bracketed Newton in place of 40-step bisections: one _support call on
-    # the theory fixture evaluated the atom sums at 19,384 points with them
-    spec, params = _theory_fixture()
+def _finder_points(spec, params, monkeypatch):
+    # atom-sum points of one _support call on a one-component fixture
     edge = find_right_edge(spec, params)
     points = []
     real_sums = stieltjes._atom_sums
@@ -503,8 +501,70 @@ def test_support_finder_work(monkeypatch):
     monkeypatch.setattr(stieltjes, "_atom_sums", counting)
     monkeypatch.setattr(freeconv, "_atom_sums", counting)
     comps = freeconv._support(spec.values, params.c_n, params.t, edge)
-    assert sum(points) <= 19_384 // 2
     assert comps.shape == (1, 4) and comps[0, 1] == edge.lambda_plus
+    return sum(points)
+
+
+def test_support_finder_work(monkeypatch):
+    # the spacing screen searches 4 of the 199 intervals between atoms:
+    # one _support call on the theory fixture evaluates the atom sums at
+    # 200 points (6,631 when every interval was searched)
+    assert _finder_points(*_theory_fixture(), monkeypatch) <= 220
+
+
+def test_support_finder_work_p1000(monkeypatch):
+    # 8 of 999 intervals: 356 points (28,898 when every one was searched)
+    n = 2000
+    spec, params = canonical_sqrt_spectrum(1000, 1.0), ModelParams(p=1000, n=n, t=n ** (-1.0 / 6.0))
+    assert _finder_points(spec, params, monkeypatch) <= 390
+
+
+def _dropped_intervals_open(spec, params, points=200):
+    # dense sign scan of the intervals between distinct atoms that the
+    # spacing screen drops: True where some point of a cosine grid in one
+    # of them has g > 0 and Phi' > 0, the mark of a gap
+    d, c, t = spec.values, params.c_n, params.t
+    a = np.unique(d)
+    drop = ~freeconv._gaps_may_open(a, c, t, d.size)
+    s = (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, points + 2)[1:-1])) / 2.0
+    x = (a[:-1][drop, None] + np.diff(a)[drop, None] * s).ravel()
+    _, slope, mv = _phi(d, c, t, x, 1)
+    return bool(np.any((1.0 - c * t * mv > 0) & (slope > 0))), drop
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    clusters=st.lists(
+        st.tuples(st.floats(0.0, 4.0), st.integers(1, 100), st.floats(np.log(1e-5), np.log(0.1))),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**16),
+    ratio=st.sampled_from([1.0, 1.25, 2.0, 4.0]),
+    log_t=st.floats(np.log(1e-3), np.log(2.0)),
+)
+def test_gap_screen_drops_no_gap(clusters, seed, ratio, log_t):
+    # up to 400 atoms in up to 4 jittered lattices of log-uniform spacing,
+    # so the spacing sweeps through the scale at which gaps start to open
+    rng = np.random.default_rng(seed)
+    atoms = np.concatenate([x + np.exp(h) * (np.arange(k) + rng.uniform(0.0, 0.8, k)) for x, k, h in clusters])
+    spec = make_spectrum(atoms)
+    params = ModelParams(p=spec.p, n=int(np.ceil(ratio * spec.p)), t=float(np.exp(log_t)))
+    assert not _dropped_intervals_open(spec, params)[0]
+
+
+def test_gap_screen_keeps_the_gap_and_drops_most():
+    # two clusters of 100 atoms: only the interval between them can open,
+    # and it does
+    spec = make_spectrum(np.concatenate([np.linspace(0.5, 1.0, 100), np.linspace(3.0, 3.5, 100)]))
+    params = ModelParams(p=200, n=400, t=0.05)
+    opened, drop = _dropped_intervals_open(spec, params)
+    assert not opened and np.flatnonzero(~drop).tolist() == [99]
+    comps = freeconv._support(spec.values, params.c_n, params.t, find_right_edge(spec, params))
+    assert comps.shape[0] == 2 and comps[0, 1] < 1.5 < 2.5 < comps[1, 0]
+    # the theory fixture: the screen drops 195 of the 199 intervals
+    opened, drop = _dropped_intervals_open(*_theory_fixture())
+    assert not opened and drop.sum() >= 190
 
 
 def _scan_gap_edges(spec, params, lam, points=4000):
