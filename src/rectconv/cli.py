@@ -51,6 +51,7 @@ _EXPERIMENTS = (
 )
 
 _TOP_KEYS = {"spectrum", "p", "n", "t", "noise", "trials", "seed", "solver", "experiment"}
+_EXPERIMENT_KEYS = {"k_max", "vartheta", "omega", "ell", "z_grid", "thresholds", "spike", "spikes"}
 
 
 class ConfigError(ValueError):
@@ -132,6 +133,9 @@ def load_config(path: str) -> RunConfig:
     experiment = raw.get("experiment", {})
     if not isinstance(experiment, dict):
         raise ConfigError("experiment must be an object")
+    unknown = set(experiment) - _EXPERIMENT_KEYS
+    if unknown:
+        raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
 
     return RunConfig(
         spec=spec,
@@ -259,9 +263,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--trials", type=int, default=None, help="override config trials")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
 
     p_density = sub.add_parser("density", help="density curve CSV")
     common(p_density)
@@ -279,6 +280,9 @@ def _parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a Monte-Carlo experiment")
     p_exp.add_argument("name", choices=_EXPERIMENTS)
     common(p_exp)
+    p_exp.add_argument("--seed", type=int, default=None, help="override config seed")
+    p_exp.add_argument("--trials", type=int, default=None, help="override config trials")
+    p_exp.add_argument("--threads", type=int, default=None, help="worker threads")
     return parser
 
 

@@ -28,10 +28,11 @@ __all__ = [
 
 _BRACKET_LIMIT = 1e6
 _BRACKET_FLOOR = 1e-14
-# Newton steps on Phi' inside the bracket; a step smaller than
-# _NEWTON_XTOL relative to zeta ends the solve.
-_NEWTON_STEPS = 200
-_NEWTON_XTOL = 4.0 * np.finfo(float).eps
+# Bracketed Newton (the edge, the support finder, the classical
+# locations): a point ends once the step or the bracket falls below
+# _ROOT_XTOL relative, and after _ROOT_STEPS evaluations at the latest.
+_ROOT_XTOL = 4.0 * np.finfo(float).eps
+_ROOT_STEPS = 100
 
 
 class EdgeBracketError(RuntimeError):
@@ -62,10 +63,14 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
     between neighbours of the offsets eps 2^k, eps = 1e-8 * max(1, d_1),
     searched from the one nearest the square-root scale t^2 of xi_plus,
     shrinking toward d_1 if the equation is already positive at eps.  It
-    solves the equation by Newton on Phi' inside the bracket, with Phi''
-    from the same atom-sum pass.  A step that leaves the bracket, or
-    Phi'' <= 0, is replaced by bisection; the solve ends when a step falls
-    below 4 ulp of zeta.
+    solves the equation by _bracketed_newton on Phi' inside the bracket,
+    with Phi'' from the same atom-sum pass, and from the point it returns
+    takes the Newton step when that step is below _ROOT_XTOL relative.
+
+    Phi'' > 0 on the ray: with y_i = zeta - d_i and means over the atoms,
+    Phi'' = 4 c t g mean(d_i / y_i^3) + 2 zeta (c t mean(y_i^-2))^2
+    + 2 (1-c) c t^2 mean(y_i^-3), where g >= 1, d_i >= 0 and c <= 1.  So
+    Phi' rises through its one root and every Newton step points at it.
     """
     d1 = spec.top
     t = params.t
@@ -111,19 +116,26 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
         lo = d1 + width
     hi = d1 + width
 
-    zeta_plus = _newton_in_bracket(d, c, t, lo, hi)
+    def on_slope(x):
+        _, s1, s2, _ = _phi(d, c, t, x, 2)
+        return s1, s2, s1 < 0.0
+
+    zeta_plus = _bracketed_newton(on_slope, [lo], [hi], _ROOT_XTOL)[0]
+    _, s1, s2, _ = _phi(d, c, t, zeta_plus, 2)
+    if abs(s1 / s2) <= _ROOT_XTOL * zeta_plus:
+        zeta_plus -= s1 / s2
     lambda_plus, _, phi_second, _ = _phi(d, c, t, zeta_plus, 2)
     if not (lambda_plus > d1 and phi_second > 0.0):
         raise EdgeBracketError(
             f"degenerate edge solve: lambda={lambda_plus}, phi''={phi_second}"
         )
     edge = EdgeData(
-        lambda_plus=lambda_plus,
+        lambda_plus=float(lambda_plus),
         zeta_plus=float(zeta_plus),
         xi_plus=float(zeta_plus - d1),
         velocity=0.0,
         sqrt_coeff=0.0,
-        phi_second=phi_second,
+        phi_second=float(phi_second),
     )
     return replace(
         edge,
@@ -132,21 +144,43 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
     )
 
 
-def _newton_in_bracket(d, c, t, lo: float, hi: float) -> float:
-    """Root of Phi' in [lo, hi], where Phi'(lo) < 0 <= Phi'(hi)."""
+def _bracketed_newton(fun, lo, hi, xtol, *args):
+    """Elementwise root in [lo, hi] by Newton kept inside the bracket.
+
+    fun(x, *args) returns (f, f', holds) at the points x, where the test
+    holds is true at lo and false at hi; each evaluation moves its side's
+    end to x.  args are per-point arrays, passed for the live points only.
+    A step that leaves the bracket is replaced by bisection.  A point stops
+    once holds is true and its step is below xtol relative, or once its
+    bracket is that narrow; a small step from the false side is doubled,
+    to land past the root.  Returns each point's last x where holds is
+    true, so the bracket contracts of the callers stay true.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    out = lo.copy()
+    # the live points' index, bracket and iterate
+    live = np.arange(lo.size)
     x = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        _, s1, s2, _ = _phi(d, c, t, x, 2)
-        if s1 < 0.0:
-            lo = x
-        else:
-            hi = x
-        step = s1 / s2 if s2 > 0.0 else np.inf
-        if abs(step) <= _NEWTON_XTOL * x:
-            return x - step
-        # a step that leaves the bracket, or none (Phi'' <= 0): bisect
-        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
-    raise EdgeBracketError(f"edge solve did not converge in [{lo!r}, {hi!r}]")
+    for _ in range(_ROOT_STEPS):
+        f, df, holds = fun(x, *args)
+        lo, hi = np.where(holds, x, lo), np.where(holds, hi, x)
+        step = f / df
+        tol = xtol * np.maximum(np.abs(lo), np.abs(hi))
+        small = np.abs(step) <= tol
+        stop = (holds & small) | (hi - lo <= tol)
+        out[live[stop]] = lo[stop]
+        keep = ~stop
+        live, lo, hi, x = live[keep], lo[keep], hi[keep], x[keep]
+        args = tuple(a[keep] for a in args)
+        if live.size == 0:
+            return out
+        step, small = step[keep], small[keep]
+        # a small step from the false side: twice the step, and one float
+        # more, toward the true side
+        x = np.where(small, np.nextafter(x - 2.0 * step, lo), x - step)
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    out[live] = lo
+    return out
 
 
 def edge_velocity(spec: Spectrum, params: ModelParams, edge: EdgeData) -> float:
@@ -193,7 +227,7 @@ def outlier_location(spec: Spectrum, params: ModelParams, edge: EdgeData, d: flo
         raise ValueError(f"atom {d} is not above the detachment threshold {thr}")
     if params.t == 0.0:
         return float(d)
-    return _phi(spec.values, params.c_n, params.t, float(d))[0]
+    return float(_phi(spec.values, params.c_n, params.t, float(d))[0])
 
 
 def edge_report_json(edge: EdgeData, spec: Spectrum, params: ModelParams) -> str:

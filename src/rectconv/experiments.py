@@ -85,6 +85,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         for kind in self.kinds:
             if kind not in NOISE_KINDS:
                 raise ValueError(f"unknown noise kind {kind!r}")
@@ -168,11 +170,8 @@ def _run_stream(cfg: ExperimentConfig, spec: Spectrum, kind: str, stream: int, w
         rec = run_trial(spec, cfg.params, kind, seeds[i], want_vectors)
         return rec if reduce is None else reduce(rec)
 
-    with _one_blas_thread():
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                return list(pool.map(work, range(cfg.trials)))
-        return [work(i) for i in range(cfg.trials)]
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        return list(pool.map(work, range(cfg.trials)))
 
 
 def _percentile(values, q: float) -> float:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edge import find_right_edge
+from .edge import _ROOT_XTOL, _bracketed_newton, find_right_edge
 from .spectrum import ModelParams, Spectrum
 from .stieltjes import _atom_sums, _check_distance, _phi, m_v
 
@@ -66,14 +66,11 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-# Support finder: grid points between consecutive atoms.  Its bracketed
-# Newton ends a point once the step or the bracket falls below _ROOT_XTOL
-# relative (_PEAK_XTOL at the peak of Phi', which only decides whether a
-# run exists), and after _ROOT_STEPS evaluations at the latest.
+# Support finder: grid points between consecutive atoms, and the
+# bracketed Newton's relative tolerance at the peak of Phi', which only
+# decides whether a run exists (edge._ROOT_XTOL everywhere else).
 _SUPPORT_GRID = 16
-_ROOT_XTOL = 4.0 * _EPS
 _PEAK_XTOL = 1e-8
-_ROOT_STEPS = 100
 # Edge walk: the smallest E-step relative to max(1, the component's
 # right edge).
 _WALK_FLOOR = 1e-12
@@ -466,49 +463,6 @@ def solve_many(
         pt.validate(params, cfg.tolerance)
         points.append(pt)
     return points
-
-
-def _bracketed_newton(fun, lo, hi, xtol, *args):
-    """Elementwise root in [lo, hi] by Newton kept inside the bracket.
-
-    fun(x, *args) returns (f, f', holds) at the points x, where the test
-    holds is true at lo and false at hi; each evaluation moves its side's
-    end to x.  args are per-point arrays, passed for the live points only.
-    A step that leaves the bracket is replaced by bisection.  A point stops
-    once holds is true and its step is below xtol relative, or once its
-    bracket is that narrow; a small step from the false side is doubled,
-    to land past the root.  Returns each point's last x where holds is
-    true, so the bracket contracts of the callers stay true.
-
-    The edge solve (edge._newton_in_bracket) follows the same rule on one
-    point but returns the Newton point x - f/f' from either side, whose
-    bits are lambda_plus's, in Python scalar arithmetic; it stays apart.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    out = lo.copy()
-    # the live points' index, bracket and iterate
-    live = np.arange(lo.size)
-    x = 0.5 * (lo + hi)
-    for _ in range(_ROOT_STEPS):
-        f, df, holds = fun(x, *args)
-        lo, hi = np.where(holds, x, lo), np.where(holds, hi, x)
-        step = f / df
-        tol = xtol * np.maximum(np.abs(lo), np.abs(hi))
-        small = np.abs(step) <= tol
-        stop = (holds & small) | (hi - lo <= tol)
-        out[live[stop]] = lo[stop]
-        keep = ~stop
-        live, lo, hi, x = live[keep], lo[keep], hi[keep], x[keep]
-        args = tuple(a[keep] for a in args)
-        if live.size == 0:
-            return out
-        step, small = step[keep], small[keep]
-        # a small step from the false side: twice the step, and one float
-        # more, toward the true side
-        x = np.where(small, np.nextafter(x - 2.0 * step, lo), x - step)
-        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-    out[live] = lo
-    return out
 
 
 # an atom at 0 gives K = 0 and an infinite cap: its interval is kept

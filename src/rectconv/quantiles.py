@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .edge import EdgeData
-from .freeconv import _ROOT_XTOL, SolverConfig, SolverError, _bracketed_newton, _support, density_curve
+from .edge import _ROOT_XTOL, EdgeData, _bracketed_newton
+from .freeconv import SolverConfig, SolverError, _support, density_curve
 from .spectrum import ModelParams, Spectrum
 
 __all__ = [
@@ -148,9 +148,9 @@ def classical_locations(
 def eta_lower(params: ModelParams, kappa: float) -> float:
     """Local scale eta_l: the root of f(eta) = n * eta * (t + sqrt(kappa + eta)) - 1.
 
-    f is increasing and convex on eta >= 0, so Newton from the first power
-    of two with f >= 0 falls monotonically to the root; the solve ends when
-    a step no longer lowers eta, which leaves eta within rounding of it.
+    f is increasing and convex on eta >= 0, and f(1) >= n - 1 >= 0, so
+    Newton from eta = 1 falls monotonically to the root; the solve ends
+    when a step no longer lowers eta, which leaves eta within rounding of it.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
@@ -160,8 +160,6 @@ def eta_lower(params: ModelParams, kappa: float) -> float:
         return n * eta * (t + np.sqrt(kappa + eta)) - 1.0
 
     eta = 1.0
-    while f(eta) < 0:
-        eta *= 2.0
     for _ in range(_ETA_STEPS):
         s = np.sqrt(kappa + eta)
         new = eta - f(eta) / (n * (t + s + eta / (2.0 * s)))

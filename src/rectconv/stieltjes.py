@@ -66,16 +66,10 @@ def _phi(d: np.ndarray, c: float, t: float, zeta, order: int = 0):
 
     Phi(zeta) = zeta g^2 + (1-c) t g with g = 1 - c t m_v(zeta) is the
     inverse subordination map.  Returns [Phi, Phi', ..., m_v] in the shape
-    of zeta, with its dtype; a scalar zeta gives Python scalars.
+    of zeta, with its dtype; a scalar zeta gives numpy scalars.
     """
     z = np.asarray(zeta)
-    sums = _atom_sums(d, z.reshape(-1), order)
-    if z.ndim == 0:
-        # the edge solve calls this once per point, where Python scalar
-        # arithmetic is several times cheaper than numpy's
-        z, sums = z.item(), sums[:, 0].tolist()
-    else:
-        sums = sums.reshape((order + 1,) + z.shape)
+    sums = _atom_sums(d, z.reshape(-1), order).reshape((order + 1,) + z.shape)
     mv = sums[0]
     g = 1.0 - c * t * mv
     out = [z * g * g + (1.0 - c) * t * g]

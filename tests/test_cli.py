@@ -388,6 +388,24 @@ def test_unknown_threshold_key(tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+def test_unknown_experiment_key(tmp_path, capsys):
+    # a misspelt k_max must not run at the default k_max = 20
+    cfg = _write_config(tmp_path, trials=2, experiment={"kmax": 3})
+    rc = main(["experiment", "rigidity", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "unknown experiment keys: ['kmax']" in capsys.readouterr().err
+
+
+def test_trial_flags_only_on_experiment(tmp_path, capsys):
+    # --seed, --trials and --threads set up the trials, which only
+    # `experiment` runs
+    cfg = _write_config(tmp_path)
+    for flag in ("--threads", "--trials", "--seed"):
+        for command in ("density", "edge", "quantiles"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), flag, "2"]) == 2
+    assert "unrecognized arguments: --seed 2" in capsys.readouterr().err
+
+
 def test_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

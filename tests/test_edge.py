@@ -25,7 +25,8 @@ from rectconv.stieltjes import _phi
 def test_mp_unit_edge_closed_forms(mp_unit):
     spec, params = mp_unit
     edge = find_right_edge(spec, params)
-    npt.assert_allclose(edge.lambda_plus, 4.0, rtol=1e-12)
+    # within 1 ulp of 4
+    assert abs(edge.lambda_plus - 4.0) <= np.spacing(4.0)
     npt.assert_allclose(edge.zeta_plus, 1.0, rtol=1e-10)
     npt.assert_allclose(edge.xi_plus, 1.0, rtol=1e-10)
     npt.assert_allclose(edge.velocity, 4.0, rtol=1e-10)
@@ -46,14 +47,15 @@ def test_all_zero_general_c_closed_forms():
 
 
 def test_all_zero_edge_to_rounding():
-    # the Newton solve on Phi' ends at a 4-ulp step, so the noise-only edge
-    # t (1 + sqrt(c))^2 comes out to rounding for c in {0.1, 0.5, 1}
+    # the bracketed Newton on Phi' ends within 4 ulp of the root and takes
+    # one more Newton step, so the noise-only edge t (1 + sqrt(c))^2 comes
+    # out to rounding for c in {0.1, 0.5, 1}
     for n in (200, 40, 20):
         for t in (1e-4, 0.25, 20.0):
             params = ModelParams(p=20, n=n, t=t)
             edge = find_right_edge(make_spectrum(np.zeros(20)), params)
             expected = t * (1 + np.sqrt(params.c_n)) ** 2
-            npt.assert_allclose(edge.lambda_plus, expected, rtol=1e-14, err_msg=f"n={n}, t={t}")
+            npt.assert_allclose(edge.lambda_plus, expected, rtol=4 * np.finfo(float).eps, err_msg=f"n={n}, t={t}")
 
 
 def _doubling_bracket(d, c, t, d1):
@@ -78,10 +80,15 @@ def test_edge_bracket_starts_at_the_sqrt_scale(monkeypatch):
     cases = [(canonical_sqrt_spectrum(200, 1.0), ModelParams(p=200, n=400, t=0.368))]
     cases += [(make_spectrum(np.zeros(20)), ModelParams(p=20, n=40, t=t)) for t in (1e-6, 30.0)]
     cases += [(make_spectrum(rng.uniform(0, 3, 30)), ModelParams(p=30, n=45, t=t)) for t in (1e-3, 0.1, 2.0)]
+    real_newton = edge_mod._bracketed_newton
     for spec, params in cases:
         d, c, t = spec.values, params.c_n, params.t
-        expected = edge_mod._newton_in_bracket(d, c, t, *_doubling_bracket(d, c, t, spec.top))
-        assert find_right_edge(spec, params).zeta_plus == expected
+        lo, hi = _doubling_bracket(d, c, t, spec.top)
+        searched = find_right_edge(spec, params).zeta_plus
+        # the same solve, handed the bracket that doubling from eps finds
+        with monkeypatch.context() as m:
+            m.setattr(edge_mod, "_bracketed_newton", lambda fun, _lo, _hi, xtol: real_newton(fun, [lo], [hi], xtol))
+            assert find_right_edge(spec, params).zeta_plus == searched
     # on the README configuration the doubling from eps took 27 of 35 passes
     passes = []
     real_phi = edge_mod._phi

@@ -97,6 +97,9 @@ def test_config_rejects_bad_trials_and_kind():
         ExperimentConfig(spec=spec, params=params, trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(spec=spec, params=params, kinds=("uniform",))
+    # every stream maps through a pool of cfg.threads workers
+    with pytest.raises(ValueError, match="threads"):
+        ExperimentConfig(spec=spec, params=params, threads=0)
 
 
 # ---------------------------------------------------------------------------

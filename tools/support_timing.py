@@ -131,7 +131,9 @@ def compare(path_a, path_b):
             elif not np.array_equal(x, y):
                 moved += 1
                 ulps = np.abs(x - y) / np.spacing(np.maximum(np.abs(x), np.abs(y)))
-                rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+                # over the entries that differ: a left edge clipped at 0 in both is no 0/0
+                moved_at = x != y
+                rel = np.abs(x - y)[moved_at] / np.maximum(np.abs(x), np.abs(y))[moved_at]
                 r, col = np.unravel_index(np.argmax(ulps), x.shape)
                 print(f"  {key}: row {r} of {x.shape[0]}, column {col}: {ulps.max():.0f} ulp, {rel.max():.1e} relative")
         print(f"{moved} of {len(a.files)} row sets differ")
