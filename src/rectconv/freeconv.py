@@ -9,21 +9,25 @@ sends the subordination point zeta(z) back to z, and m = m_v/g,
 b = 1 + c t m and the companion transform are rational in m_v(zeta).
 
 Off the real axis the solver walks an eta-homotopy ladder from eta = 10
-down to Im z and, at each level z_l, solves Phi(zeta) = z_l by Newton
-with backtracking, warm-started from the level above and kept in
-Im zeta > 0; a point stops at its target or once it sits at the rounding
-floor of Phi.  The last level's residual |Phi(zeta) - z| is the solver's
-contract.  The ladder top starts from 30 fixed-point sweeps on m from
-m = -1/z: for large t that bare guess can have Re b <= 0 or lead Newton
-to a wrong root, and the sweeps reach the Re b > 0 branch.  The same
-sweeps, run at every level, make the independent cross-check route.
-Their map m -> b m_v(zeta(m)), zeta = b^2 z_l - b t (1-c), runs on the
-same atom-sum kernel, and each sweep maps only the points that have not
-yet converged.  A sweep takes the secant step on the residual f(m) - m
+down to Im z, each level a quarter of the one above, and at each level
+z_l solves Phi(zeta) = z_l by Newton with backtracking, kept in
+Im zeta > 0.  It is predictor-corrector continuation: each level is
+seeded from the level above by the tangent step zeta + (z_l - z_prev)/Phi'
+(reflected into Im zeta > 0) and corrected by Newton; a point stops at
+its target or once it sits at the rounding floor of Phi.  The last
+level's residual |Phi(zeta) - z| is the solver's contract.  The ladder
+top starts from 30 fixed-point sweeps on m from m = -1/z: for large t
+that bare guess can have Re b <= 0 or lead Newton to a wrong root, and
+the sweeps reach the Re b > 0 branch.  The same sweeps, run at every
+level, make the independent cross-check route.  Their map
+m -> b m_v(zeta(m)), zeta = b^2 z_l - b t (1-c), runs on the same
+atom-sum kernel, and each sweep maps only the points that have not yet
+converged.  A sweep takes the secant step on the residual f(m) - m
 (Anderson acceleration of depth 1) where it is safe and a damped step
 elsewhere, so the route uses map values only.  The levels above the last
-only seed the next one, so there the sweeps stop at a loose update; the
-last level and the polish at z run to the full tolerance.  All entry
+only seed the next one, so there the sweeps stop at a loose update and
+skip the points whose z_l has not moved since they converged; the last
+level and the polish at z run to the full tolerance.  All entry
 points accept arrays of evaluation points and solve them in lockstep.
 
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
@@ -77,7 +81,7 @@ _WALK_FLOOR = 1e-12
 # Off-axis ladder: top level, ratio between levels, the fixed-point
 # sweeps' initial damping, and the sweeps that start the ladder top.
 _ETA_TOP = 10.0
-_LADDER_RATIO = 0.7
+_LADDER_RATIO = 0.25
 _DAMPING = 0.5
 _START_SWEEPS = 30
 # The fixed-point sweeps' secant step may be at most this many times the
@@ -333,7 +337,7 @@ def _solve_grid(spec, params, z, cfg, method):
     # the fixed-point route's own top level, like all of its levels above
     # the last, only seeds the next one
     top_tol = fp_tol if method == "hybrid" else _FP_LEVEL_TOL
-    m, used, _ = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, top_tol)
+    m, used, settled = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, top_tol)
     iters += used
     zeta = _zeta_from_m(c, t, z_l, m)
     re_b = (1.0 + c * t * m).real
@@ -344,20 +348,32 @@ def _solve_grid(spec, params, z, cfg, method):
             f"at ladder top eta={levels[0]:.3g}, E={E[j]:.17g}, eta={eta_t[j]:.3g}"
         )
 
+    z_prev, dph = z_l, None
     for eta_level in levels:
         z_l = E + 1j * np.maximum(eta_t, eta_level)
         if method == "fixed_point":
-            # a level above the last only seeds the next one
-            tol = fp_tol if eta_level == levels[-1] else _FP_LEVEL_TOL
-            for _ in range(3):
-                m, used, done = _fp_iterate(d, c, t, z_l, m, cfg.max_iterations, tol)
-                iters += used
-                if done.all():
+            # a level above the last only seeds the next one, and skips the
+            # points that already converged at this z_l and tolerance
+            last = eta_level == levels[-1]
+            tol = fp_tol if last else _FP_LEVEL_TOL
+            live = np.flatnonzero(last | ~settled | (z_l != z_prev))
+            for _ in range(3 if live.size else 0):
+                m[live], used, settled[live] = _fp_iterate(d, c, t, z_l[live], m[live], cfg.max_iterations, tol)
+                iters[live] += used
+                if settled[live].all():
                     break
+            z_prev = z_l
             continue
 
-        zeta, used, F, _, mv = _newton_level(d, c, t, z_l, zeta, cfg.tolerance, cfg.max_iterations)
+        if dph is not None:
+            # tangent predictor along the path z_l -> zeta(z_l), reflected
+            # into Im zeta > 0 (a point whose z_l did not move gets a zero
+            # step); one that lands on the real axis keeps its zeta
+            pred = zeta + (z_l - z_prev) / dph
+            zeta = np.where(pred.imag != 0, pred.real + 1j * np.abs(pred.imag), zeta)
+        zeta, used, F, dph, mv = _newton_level(d, c, t, z_l, zeta, cfg.tolerance, cfg.max_iterations)
         iters += used
+        z_prev = z_l
 
     if method == "fixed_point":
         # the update criterion does not bound the map residual directly,

@@ -187,14 +187,19 @@ def _theory_fixture():
     return canonical_sqrt_spectrum(200, 1.0), ModelParams(p=200, n=n, t=n ** (-1.0 / 6.0))
 
 
-def test_fixed_point_route_work_and_agreement(monkeypatch):
-    # the levels above the last only seed the next one and stop at a loose
-    # update; run to 0.01 tol as the last level is, the route mapped 22,835
-    # columns on this 16 x 4 grid, and 11,362 by damped sweeps alone
+def _theory_grid():
+    # the 16 x 4 off-axis grid of the theory fixture
     spec, params = _theory_fixture()
     lam = find_right_edge(spec, params).lambda_plus
     etas = np.array([1e-2, 0.05, 0.2, 1.0])
-    z = (lam * np.linspace(0.02, 1.2, 16)[:, None] + 1j * etas[None, :]).ravel()
+    return spec, params, (lam * np.linspace(0.02, 1.2, 16)[:, None] + 1j * etas[None, :]).ravel()
+
+
+def test_fixed_point_route_work_and_agreement(monkeypatch):
+    # the levels above the last only seed the next one, stop at a loose
+    # update and skip the points whose z_l did not move: 1,426 columns on
+    # this grid (1,538 without the skip, 4,419 on the 0.7 ladder)
+    spec, params, z = _theory_grid()
     columns = []
     real_map = freeconv._fp_map
 
@@ -204,9 +209,26 @@ def test_fixed_point_route_work_and_agreement(monkeypatch):
 
     monkeypatch.setattr(freeconv, "_fp_map", counting)
     fixed = solve_many(spec, params, z, method="fixed_point")
-    assert sum(columns) <= 11_362 // 2
+    assert sum(columns) <= 1_500
     hybrid = solve_many(spec, params, z)
     assert max(abs(a.m - b.m) for a, b in zip(fixed, hybrid)) <= 1e-12
+
+
+def test_hybrid_route_work(monkeypatch):
+    # every Newton step evaluates _phi on all 64 points: 1,600 columns with
+    # the tangent predictor on the 0.25 ladder (6,144 on the 0.7 ladder
+    # without a predictor)
+    spec, params, z = _theory_grid()
+    columns = []
+    real_phi = freeconv._phi
+
+    def counting(d, c, t, zeta, order=0):
+        columns.append(zeta.size)
+        return real_phi(d, c, t, zeta, order)
+
+    monkeypatch.setattr(freeconv, "_phi", counting)
+    solve_many(spec, params, z)
+    assert sum(columns) <= 1_750
 
 
 def _polish_battery_cases(picks):
@@ -239,6 +261,30 @@ def test_fixed_point_polish_runs_while_residual_falls():
         fixed = solve_point(spec, params, z, method="fixed_point")
         assert fixed.residual <= 1e-12
         npt.assert_allclose(fixed.m, solve_point(spec, params, z).m, rtol=1e-10)
+
+
+def test_seed_1_worst_route_gap_is_the_hybrids():
+    # the seed-1 battery's largest relative route gap, 5.7e-12 at case 251
+    # (p = 41, t = 3.2e-4, eta = 3.7e-4), against a 50-digit root of
+    # m = b mean 1/(d - zeta(m)): Newton stops at |Phi - z| <= 1e-13 |z|
+    # and |dm/dz| is large here, while the fixed-point route polishes
+    mp = pytest.importorskip("mpmath")
+    spec, params, z = _polish_battery_cases((251,))[251]
+    assert z.real == pytest.approx(0.6596819291484486, rel=1e-14)
+    fixed = solve_point(spec, params, z, method="fixed_point").m
+    hybrid = solve_point(spec, params, z).m
+    with mp.workdps(50):
+        d = [mp.mpf(float(x)) for x in spec.values]
+        c, t, zz = mp.mpf(params.c_n), mp.mpf(params.t), mp.mpc(z.real, z.imag)
+
+        def residual(m):
+            b = 1 + c * t * m
+            zeta = b * b * zz - b * t * (1 - c)
+            return b * mp.fsum(1 / (x - zeta) for x in d) / len(d) - m
+
+        exact = complex(mp.findroot(residual, mp.mpc(fixed.real, fixed.imag)))
+    assert abs(fixed - exact) <= 1e-13 * abs(exact)
+    assert abs(hybrid - exact) <= 1e-11 * abs(exact)
 
 
 def test_phi_inverts_subordination(canonical_small):

@@ -8,9 +8,11 @@ file sits in, so a copy of this file in another checkout measures that
 tree.  Each case is solved once by method="hybrid" and once by
 method="fixed_point".  Per battery and route the script prints the solved
 and failed counts, the largest relative gap |m_fixed - m_hybrid| / |m_hybrid|
-over the cases both routes solve, the _fp_map columns mapped (one column is
-one point through the atom-sum kernel) and the wall time, then one line per
-failed case.
+over the cases both routes solve, the _fp_map and _phi columns evaluated
+(one column is one point through the atom-sum kernel: _fp_map columns are
+the fixed-point sweeps, _phi columns the Newton ladder's evaluations and
+the fixed-point polish's residual checks) and the wall time, then one line
+per failed case.
 
 Batteries, each drawn case by case from one numpy default_rng(seed):
   large-t  seeds 0 and 1, 300 cases each: p = integers(10, 61); c by choice
@@ -77,19 +79,23 @@ BATTERIES = {"large-t": large_t_cases, "seed-1": seed_1_cases}
 
 def run(name):
     cases = list(BATTERIES[name]())
-    columns = [0]
-    real_map = freeconv._fp_map
+    columns = {"_fp_map": 0, "_phi": 0}
+    real_map, real_phi = freeconv._fp_map, freeconv._phi
 
-    def counting(d, c, t, z_l, m):
-        columns[0] += z_l.size
+    def counting_map(d, c, t, z_l, m):
+        columns["_fp_map"] += z_l.size
         return real_map(d, c, t, z_l, m)
+
+    def counting_phi(d, c, t, zeta, order=0):
+        columns["_phi"] += zeta.size
+        return real_phi(d, c, t, zeta, order)
 
     solved = {}
     failures = []
-    freeconv._fp_map = counting
+    freeconv._fp_map, freeconv._phi = counting_map, counting_phi
     try:
         for route in ROUTES:
-            columns[0] = 0
+            columns.update(_fp_map=0, _phi=0)
             t0 = time.perf_counter()
             ms = {}
             for i, (spec, params, z) in enumerate(cases):
@@ -97,9 +103,9 @@ def run(name):
                     ms[i] = solve_point(spec, params, z, method=route).m
                 except SolverError as exc:
                     failures.append((route, i, params, z, exc))
-            solved[route] = (ms, columns[0], time.perf_counter() - t0)
+            solved[route] = (ms, dict(columns), time.perf_counter() - t0)
     finally:
-        freeconv._fp_map = real_map
+        freeconv._fp_map, freeconv._phi = real_map, real_phi
 
     hybrid = solved["hybrid"][0]
     both = [i for i in solved["fixed_point"][0] if i in hybrid]
@@ -109,7 +115,7 @@ def run(name):
         ms, cols, wall = solved[route]
         print(
             f"  {route:<11} solved {len(ms)}/{len(cases)}, failed {len(cases) - len(ms)}, "
-            f"_fp_map columns {cols:,}, wall {wall:.2f} s"
+            f"_fp_map columns {cols['_fp_map']:,}, _phi columns {cols['_phi']:,}, wall {wall:.2f} s"
         )
     for route, i, params, z, exc in failures:
         print(f"  failed {route} case {i}: p={params.p}, c={params.c_n:.3g}, t={params.t:.4g}, z={z:.6g}, |z|={abs(z):.4g}: {exc}")
