@@ -121,10 +121,10 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
         return s1, s2, s1 < 0.0
 
     zeta_plus = _bracketed_newton(on_slope, [lo], [hi], _ROOT_XTOL)[0]
-    _, s1, s2, _ = _phi(d, c, t, zeta_plus, 2)
-    if abs(s1 / s2) <= _ROOT_XTOL * zeta_plus:
-        zeta_plus -= s1 / s2
-    lambda_plus, _, phi_second, _ = _phi(d, c, t, zeta_plus, 2)
+    lambda_plus, s1, phi_second, _ = _phi(d, c, t, zeta_plus, 2)
+    if abs(s1 / phi_second) <= _ROOT_XTOL * zeta_plus:
+        zeta_plus -= s1 / phi_second
+        lambda_plus, _, phi_second, _ = _phi(d, c, t, zeta_plus, 2)
     if not (lambda_plus > d1 and phi_second > 0.0):
         raise EdgeBracketError(
             f"degenerate edge solve: lambda={lambda_plus}, phi''={phi_second}"

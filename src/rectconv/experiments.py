@@ -231,7 +231,7 @@ def rigidity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if not (1 <= k_max <= params.p):
         raise ValueError(f"k_max must lie in [1, p], got {k_max}")
     ks = np.arange(1, k_max + 1)
-    # one quadrature serves the cell edges and the cell centres
+    # one call serves the cell edges and the cell centres
     targets = np.concatenate([ks - 1.0, ks - 0.5]) / params.p
     locs, _ = _locations(spec, params, edge, targets, cfg.solver)
     lam = edge.lambda_plus

@@ -51,7 +51,7 @@ import numpy as np
 
 from .edge import _ROOT_XTOL, _bracketed_newton, find_right_edge
 from .spectrum import ModelParams, Spectrum
-from .stieltjes import _atom_sums, _check_distance, _phi, m_v
+from .stieltjes import _CHUNK, _atom_sums, _check_distance, _phi, m_v
 
 __all__ = [
     "SolverConfig",
@@ -320,10 +320,8 @@ def _solve_grid(spec, params, z, cfg, method):
 
     if t == 0.0:
         mv = m_v(spec, z)
-        mv = np.atleast_1d(np.asarray(mv, dtype=complex))
         m_under = c * mv - (1.0 - c) / z
-        ones = np.ones_like(mv)
-        return mv, ones, z.copy(), m_under, np.zeros(z.shape[0]), np.zeros(z.shape[0], dtype=int)
+        return mv, np.ones_like(mv), z.copy(), m_under, np.zeros(z.shape[0]), np.zeros(z.shape[0], dtype=int)
 
     eta_t = z.imag
     levels = _ladder(eta_t.min())
@@ -588,13 +586,14 @@ def _walk(d, c, t, E_right, x_c, phi2, E_desc, cfg):
     the walk follows.  The block doubles after a full success.  After a
     failure the walk takes one point at a time, halving the step through
     intermediate energies while that point fails; the first energy left
-    when the step falls below the floor raises SolverError.
+    when the step falls below the floor raises SolverError.  Next to the
+    rows it returns each point's accepted zeta, Phi(zeta) - E and Phi'.
     """
     tol = cfg.tolerance
     floor = _WALK_FLOOR * max(1.0, E_right)
     E_cur, zeta, slope = E_right, None, None
     n = E_desc.shape[0]
-    out = np.zeros((3, n))
+    out, at = np.zeros((3, n)), np.zeros((3, n), dtype=complex)
     i, size, h, pending = 0, 1, np.inf, 0
     while i < n:
         gap = E_cur - E_desc[i]
@@ -621,9 +620,37 @@ def _walk(d, c, t, E_right, x_c, phi2, E_desc, cfg):
             continue
         used[0] += pending
         out[:, i : i + k] = (mv[:k] / (1.0 - c * t * mv[:k])).imag / np.pi, residual[:k], used[:k]
+        at[:, i : i + k] = zeta_b[:k], F[:k], dph[:k]
         i, h, pending = i + k, np.inf, 0
         size = 2 * size if k == E_blk.shape[0] else 1
-    return out
+    return out, at
+
+
+def _right_mass(d, c, t, zeta):
+    """(R, m) at subordination points zeta, Im zeta > 0: the law's mass
+    R = mu((E, inf)) above E = Phi(zeta), and m = m_v / g.
+
+    The log-potential L(z) = int log(x - z) dmu(x) has L' = -m and
+    Im L(E + i0) = -pi mu((-inf, E)), so R = 1 + Im L / pi.  With
+    z = Phi(zeta), m = m_v / g and g' = -c t m_v',
+        m Phi' = d/dzeta [-mean log(d - zeta) - c t zeta m_v^2 + (1-c) t m_v + ((1-c)/c) log g],
+    so L is minus the bracket up to a constant, in principal logs (kept
+    continuous by Im(d - zeta) < 0 and Im g < 0).  Above lambda_plus each
+    log(d_i - zeta) has argument -pi and g > 0, so R = 0 fixes the constant;
+    at a real critical point x_c with g > 0 the same limit gives
+    R = #{d_i > x_c}/p.  Each point's sums run along its row of atoms, which
+    numpy sums pairwise: O(log p) roundings, whatever the batch.
+    """
+    p = d.shape[0]
+    arg, mv = np.empty(zeta.shape[0]), np.empty(zeta.shape[0], dtype=complex)
+    stride = max(1, _CHUNK // p)
+    for lo in range(0, zeta.shape[0], stride):
+        z = zeta[lo : lo + stride, None]
+        arg[lo : lo + stride] = np.arctan2(-z.imag, d - z.real).sum(axis=1) / p  # Im log(d - zeta)
+        mv[lo : lo + stride] = (1.0 / (d - z)).sum(axis=1) / p
+    g = 1.0 - c * t * mv
+    im_L = arg + (c * t * zeta * mv * mv - (1.0 - c) * t * mv).imag - (1.0 - c) / c * np.angle(g)
+    return 1.0 + im_L / np.pi, mv / g
 
 
 def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfig | None = None):
@@ -642,19 +669,12 @@ def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfi
     cfg = cfg or SolverConfig()
     E = np.asarray(E, dtype=float).ravel()
     d, c, t = spec.values, params.c_n, params.t
-    k = E.shape[0]
-    rho = np.zeros(k)
-    diag = {
-        "residual": np.zeros(k),
-        "iterations": np.zeros(k, dtype=int),
-    }
+    rows = np.zeros((3, E.shape[0]))  # rho, residual, iterations
     for left, right, x_c, phi2 in _support(d, c, t, find_right_edge(spec, params)):
         inside = np.flatnonzero((E > left) & (E < right))
         order = inside[np.argsort(-E[inside], kind="stable")]
-        rho[order], diag["residual"][order], diag["iterations"][order] = _walk(
-            d, c, t, right, x_c, phi2, E[order], cfg
-        )
-    return rho, diag
+        rows[:, order] = _walk(d, c, t, right, x_c, phi2, E[order], cfg)[0]
+    return rows[0], {"residual": rows[1], "iterations": rows[2].astype(int)}
 
 
 def density(spec: Spectrum, params: ModelParams, E: float, cfg: SolverConfig | None = None) -> float:

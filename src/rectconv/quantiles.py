@@ -2,10 +2,9 @@
 
 The j-th location gamma_j puts mass (j-1)/p to its right under the
 noise-convolved density; the top location is pinned to the edge itself.
-On each support component [l, r], E = l + (r-l) cos^2(theta/2) makes the
-mass element rho(E) (r-l)/2 sin(theta) smooth in theta at square-root and
-hard edges alike.  Chebyshev panels in theta integrate it, summed from the
-top edge down, and each location is a root of one panel's antiderivative.
+The right mass R (freeconv._right_mass) is an exact count of atoms at every
+support edge, so a location is an edge or a root of R - (j-1)/p inside one
+support component.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .edge import _ROOT_XTOL, EdgeData, _bracketed_newton
-from .freeconv import SolverConfig, SolverError, _support, density_curve
+from .freeconv import SolverConfig, SolverError, _newton_level, _right_mass, _support, _walk
 from .spectrum import ModelParams, Spectrum
 
 __all__ = [
@@ -27,29 +25,14 @@ __all__ = [
     "write_quantile_csv",
 ]
 
-# Panels: first-kind Chebyshev nodes (never an edge), and the panels a
-# component starts with and an open panel splits into.  The density meets
-# its residual tolerance, not rounding, so a panel closes once its last
-# three coefficients fall below _TAIL_NOISE tolerances of its component's
-# largest first-round coefficient.  The quadrature gives up past _ROUNDS
-# rounds or past _MAX_NODES nodes in one round.
-_NODES = 32
-_SPLIT = 4
-_TAIL_NOISE = 100.0
-_ROUNDS = 16
-_MAX_NODES = 2**18
-_NODE_S = cheb.chebpts1(_NODES)
-_TO_COEF = np.linalg.inv(cheb.chebvander(_NODE_S, _NODES - 1)).T  # node values -> coefficients
+_WALK_NODES = 8  # nodes theta = pi j / 9, j = 1..8, walked on a component holding a target
 _ETA_STEPS = 100  # Newton steps for eta_l; n = 1e15 needs 27
 
 
 @dataclass(frozen=True)
 class QuantileTable:
-    """Descending classical locations gamma_1 > ... > gamma_{j_max}.
-
-    quad_error estimates the mass's error: the sum over the panels of
-    width times the largest of their last three Chebyshev coefficients.
-    """
+    """Descending classical locations gamma_1 > ... > gamma_{j_max}, and
+    quad_error, the largest |R(gamma_j) - (j-1)/p| + |m| |Phi(zeta) - E| / pi."""
 
     gamma: np.ndarray
     j_max: int
@@ -59,10 +42,15 @@ class QuantileTable:
 def _locations(spec, params, edge, targets, cfg):
     """(locations with right mass `targets`, in target order; quad_error).
 
-    Each round is one density_curve call on the nodes of all open panels,
-    which are replaced in place by their parts.  A target within quad_error
-    of the mass down to a component's end is that component's left edge.
-    Neither the panels nor a root depend on the other targets.
+    Each component [l, r] holding a target strictly inside is walked once on
+    _WALK_NODES nodes, whose R brackets every target there; each is then the
+    root of R - tau by _bracketed_newton in theta, E = l + (r-l) cos^2(theta/2),
+    slope rho (r-l) sin(theta) / 2.  An evaluation is one _newton_level call,
+    each point seeded by the tangent step from its last accepted zeta and
+    accepted by _walk's rule or else walked from the right edge, with R read
+    at the Newton point zeta - (Phi - E) / Phi'.  A lone live target is padded
+    with its last accepted point, as _atom_sums sums a batch of one pairwise,
+    so no root depends on the other targets while the batch fits one block.
     """
     if params.t <= 0:
         raise ValueError("classical locations need t > 0")
@@ -70,58 +58,56 @@ def _locations(spec, params, edge, targets, cfg):
     if targets.size == 0 or targets.min() < 0 or targets.max() >= 1:
         raise ValueError("right-mass targets must lie in [0, 1)")
 
-    rows = _support(spec.values, params.c_n, params.t, edge)[::-1]  # (l, r, ...), top first
-    comp = np.repeat(np.arange(rows.shape[0]), _SPLIT)
-    width = np.full(comp.size, np.pi / _SPLIT)
-    lo = np.arange(comp.size) % _SPLIT * width
-    coef, todo = np.zeros((comp.size, _NODES)), np.ones(comp.size, dtype=bool)
-    for rounds in range(1, _ROUNDS + 1):
-        theta = (lo + 0.5 * width)[todo, None] + 0.5 * width[todo, None] * _NODE_S
-        left, right = rows[comp[todo], 0][:, None], rows[comp[todo], 1][:, None]
-        rho = density_curve(spec, params, (left + (right - left) * np.cos(0.5 * theta) ** 2).ravel(), cfg)
-        coef[todo] = (rho.reshape(theta.shape) * (0.5 * (right - left)) * np.sin(theta)) @ _TO_COEF
-        tail = np.abs(coef[:, -3:]).max(axis=1)
-        if rounds == 1:
-            bound = _TAIL_NOISE * cfg.tolerance * np.abs(coef).reshape(-1, _SPLIT * _NODES).max(axis=1)
-        todo = ~(tail <= bound[comp])  # a nan density keeps its panel open
-        if not todo.any():
-            break
-        if rounds == _ROUNDS or _SPLIT * _NODES * np.count_nonzero(todo) > _MAX_NODES:
-            i = np.argmax(todo)
+    d, c, t, tol, p = spec.values, params.c_n, params.t, cfg.tolerance, spec.p
+    rows = _support(d, c, t, edge)[::-1]  # (l, r, x_c, Phi''(x_c)), top first
+    left_mass = np.append((p - np.searchsorted(d[::-1], rows[1:, 2], side="right")) / p, 1.0)
+    k = np.searchsorted(left_mass, targets)
+    x = np.where(targets == 0.0, edge.lambda_plus, rows[k, 0])
+    inner = (targets > 0.0) & (targets < left_mass[k])  # else an edge: lambda_plus or a left edge
+    if not inner.any():
+        return x, 0.0
+    tau, comp = targets[inner], k[inner]
+    left, width, every = rows[comp, 0], rows[comp, 1] - rows[comp, 0], np.arange(tau.size)
+
+    def walk(i, E):  # (zeta, Phi - E, Phi') at energies E of target i's component
+        try:
+            return _walk(d, c, t, *rows[comp[i], 1:], E, cfg)[1]
+        except SolverError as exc:  # its message names the energy
             raise SolverError(
-                f"quantile quadrature unresolved after {rounds} rounds: component {comp[i]} from the top, "
-                f"theta in [{lo[i]:.9g}, {lo[i] + width[i]:.9g}], tail {tail[i]:.3g} above {bound[comp[i]]:.3g}"
-            )
-        parts = np.where(todo, _SPLIT, 1)
-        first = np.repeat(np.cumsum(parts) - parts, parts)
-        width = np.repeat(width / parts, parts)
-        lo = np.repeat(lo, parts) + (np.arange(first.size) - first) * width
-        comp, coef, todo = np.repeat(comp, parts), np.repeat(coef, parts, axis=0), np.repeat(todo, parts)
+                f"classical locations: component {comp[i]} from the top, target {tau[i]:.12g}: {exc}"
+            ) from None
 
-    quad_error = float(np.sum(width * tail))
-    anti = cheb.chebint(coef, lbnd=-1.0, axis=1) * (0.5 * width)[:, None]
-    end = np.cumsum(anti.sum(axis=1))
-    start = np.append(0.0, end[:-1])
-    comp_end = end[np.flatnonzero(np.diff(np.append(comp, rows.shape[0])))]
-    if targets.max() > comp_end[-1] + quad_error:
-        raise SolverError(f"quantile mass: found {comp_end[-1]:.6g}, requested {targets.max():.6g}")
+    theta = np.pi * np.arange(_WALK_NODES + 2) / (_WALK_NODES + 1)
+    E = left[:, None] + width[:, None] * np.cos(0.5 * theta[1:-1]) ** 2
+    _, first, which = np.unique(comp, return_index=True, return_inverse=True)
+    at = np.stack([walk(i, E[i]) for i in first], axis=1)  # (3, components, nodes)
+    R, m = (v.reshape(at.shape[1:])[which] for v in _right_mass(d, c, t, (at[0] - at[1] / at[2]).ravel()))
+    at = at[:, which]
+    R = np.column_stack((np.append(0.0, left_mass)[comp], R, left_mass[comp]))
+    j = np.count_nonzero(R < tau[:, None], axis=1) - 1  # R[j] < tau <= R[j + 1]
+    err = tau - R[every, j] + np.pad(np.abs(m * at[1]) / np.pi, ((0, 0), (1, 1)))[every, j]
+    node = np.clip(j, 1, _WALK_NODES) - 1
+    E_last, last = E[every, node], at[:, every, node]
 
-    def mass(theta, i, tau):
-        s = 2.0 * (theta - lo[i]) / width[i] - 1.0
-        f = start[i] + cheb.chebval(s, anti[i].T, tensor=False) - tau
-        return f, cheb.chebval(s, coef[i].T, tensor=False), f < 0.0
+    def mass(theta, i):
+        E, n = left[i] + width[i] * np.cos(0.5 * theta) ** 2, i.size
+        seed = last[0, i] - (E_last[i] - E) / last[2, i]
+        if n == 1:
+            E, seed = np.append(E, E_last[i]), np.append(seed, last[0, i])
+        zeta, _, F, dph, _ = _newton_level(d, c, t, E, seed, tol, cfg.max_iterations)
+        ok = (np.abs(F) <= tol) & (zeta.imag > 0) & (np.abs(zeta - seed) <= seed.imag)
+        for h in np.flatnonzero(~ok[:n]):
+            zeta[h], F[h], dph[h] = walk(i[h], E[h : h + 1])[:, 0]
+        R, m = _right_mass(d, c, t, zeta[:n] - F[:n] / dph[:n])
+        E_last[i], last[:, i] = E[:n], (zeta[:n], F[:n], dph[:n])
+        f = R - tau[i]
+        err[i] = np.where(f < 0.0, np.abs(f) + np.abs(m * F[:n]) / np.pi, err[i])
+        return f, m.imag / np.pi * 0.5 * width[i] * np.sin(theta), f < 0.0
 
-    k = np.searchsorted(comp_end, targets - quad_error)
-    at_left = np.abs(comp_end[k] - targets) <= quad_error
-    inner = (targets > 0) & ~at_left
-    i = np.searchsorted(end, targets[inner])
-    theta = _bracketed_newton(mass, lo[i], lo[i] + width[i], _ROOT_XTOL, i, targets[inner])
-    x = np.where(at_left, rows[k, 0], edge.lambda_plus)
-    x[inner] = rows[comp[i], 0] + (rows[comp[i], 1] - rows[comp[i], 0]) * np.cos(0.5 * theta) ** 2
-
+    x[inner] = left + width * np.cos(0.5 * _bracketed_newton(mass, theta[j], theta[j + 1], _ROOT_XTOL, every)) ** 2
     if np.any(np.diff(x[np.argsort(targets, kind="stable")]) >= 0):
         raise SolverError("classical locations failed to decrease strictly")
-    return x, quad_error
+    return x, float(err.max(initial=0.0))
 
 
 def classical_locations(
@@ -133,9 +119,8 @@ def classical_locations(
 ) -> QuantileTable:
     """Table of the top j_max classical locations for t > 0.
 
-    gamma_1 is the edge exactly; each deeper location's right mass, by
-    Chebyshev panels on the support components, is (j-1)/p within
-    quad_error.  Missing mass or unresolved panels raise SolverError.
+    gamma_1 is the edge exactly, and each deeper location's right mass is
+    (j-1)/p within quad_error.  A walk that reaches no root raises SolverError.
     """
     if not (1 <= j_max <= params.p):
         raise ValueError(f"j_max must lie in [1, p], got {j_max}")
@@ -155,14 +140,10 @@ def eta_lower(params: ModelParams, kappa: float) -> float:
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     n, t = params.n, params.t
-
-    def f(eta: float) -> float:
-        return n * eta * (t + np.sqrt(kappa + eta)) - 1.0
-
     eta = 1.0
     for _ in range(_ETA_STEPS):
         s = np.sqrt(kappa + eta)
-        new = eta - f(eta) / (n * (t + s + eta / (2.0 * s)))
+        new = eta - (n * eta * (t + s) - 1.0) / (n * (t + s + eta / (2.0 * s)))
         if not new < eta:
             break
         eta = new
@@ -184,7 +165,7 @@ def in_domain(
     if not (0 < vartheta < 1):
         raise ValueError("vartheta must lie in (0, 1)")
     E, eta = z.real, z.imag
-    if eta <= 0:
+    if not 0 < eta <= 10.0:
         return False
     lam, t, n = edge.lambda_plus, params.t, params.n
     kappa = abs(E - lam)
@@ -193,12 +174,10 @@ def in_domain(
         lam - 0.375 * lam <= E
         and (vartheta > 0 and E <= lam + t * t / vartheta)
         and n * eta * (t + np.sqrt(kappa + eta)) >= floor
-        and eta <= 10.0
     )
     outside = (
         lam <= E <= lam + 0.375 * lam
         and n * eta * np.sqrt(kappa + eta) >= floor
-        and eta <= 10.0
     )
     return bool(main or outside)
 

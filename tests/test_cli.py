@@ -223,13 +223,15 @@ import json, sys
 import numpy as np
 import rectconv, rectconv.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def lazy_modules():
+    return sorted(
+        m for m in sys.modules for root in ("scipy", "numpy.polynomial") if m == root or m.startswith(root + ".")
+    )
 
-found = {"import": scipy_modules()}
+found = {"import": lazy_modules()}
 for cmd in (["edge"], ["density", "--samples", "20"], ["quantiles", "--jmax", "5"]):
     rectconv.cli.main(cmd + ["--config", sys.argv[1], "--out", sys.argv[2]])
-    found[cmd[0]] = scipy_modules()
+    found[cmd[0]] = lazy_modules()
 a, b = np.random.default_rng(0).random((2, 50))
 import scipy.stats
 found["ks_equal"] = bool(
@@ -240,7 +242,8 @@ print(json.dumps(found))
 
 
 def test_edge_and_density_load_no_scipy(tmp_path):
-    # a fresh interpreter, since this process has imported scipy already
+    # a fresh interpreter, since this process has imported scipy already;
+    # numpy.polynomial is not loaded either
     cfg = _write_config(tmp_path)
     src = os.path.dirname(os.path.dirname(rectconv.__file__))
     env = dict(os.environ)
@@ -444,18 +447,22 @@ def test_solver_failure_exits_three(tmp_path, capsys):
 
 
 def test_quantile_failure_exits_three(tmp_path, capsys, monkeypatch):
-    # a density that reads zero leaves no mass for the quantiles: a
-    # numerical failure (SolverError, exit 3), not a usage error
-    monkeypatch.setattr(
-        quantiles, "density_curve", lambda spec, params, E, cfg=None: np.zeros(len(E))
-    )
+    # a walk whose Newton never meets its residual reaches no root: a
+    # numerical failure (SolverError, exit 3) naming the component, the
+    # target and the energy, not a usage error
+    def failing(d, c, t, z_l, zeta, tol, max_iter):
+        n = zeta.shape[0]
+        return zeta, np.zeros(n, dtype=int), np.ones(n, dtype=complex), np.ones(n, dtype=complex), zeta
+
+    monkeypatch.setattr(freeconv, "_newton_level", failing)
     spec, params = make_spectrum([0.0] * 10), ModelParams(p=10, n=20, t=0.5)
-    with pytest.raises(SolverError, match="quantile mass: found 0, requested 0.4"):
+    message = r"classical locations: component 0 from the top, target 0.1: density walk stage: no root reached at E="
+    with pytest.raises(SolverError, match=message):
         quantiles.classical_locations(spec, params, 5, find_right_edge(spec, params))
     cfg = _write_config(tmp_path)
     rc = main(["quantiles", "--config", cfg, "--out", str(tmp_path / "o"), "--jmax", "5"])
     assert rc == 3
-    assert "numerical failure: quantile mass: found 0, requested" in capsys.readouterr().err
+    assert "numerical failure: " + message in capsys.readouterr().err
 
 
 def test_edge_expansion_failure_exits_three(tmp_path, capsys, monkeypatch):

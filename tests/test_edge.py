@@ -99,7 +99,7 @@ def test_edge_bracket_starts_at_the_sqrt_scale(monkeypatch):
 
     monkeypatch.setattr(edge_mod, "_phi", counting)
     find_right_edge(*cases[0])
-    assert len(passes) <= 12
+    assert len(passes) <= 11
 
 
 def test_edge_bracket_errors():

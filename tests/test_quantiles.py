@@ -4,11 +4,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from rectconv import quantiles
+from rectconv import freeconv, quantiles
 from rectconv import (
     ModelParams,
     SolverConfig,
     SolverError,
+    canonical_sqrt_spectrum,
     classical_locations,
     density,
     eta_lower,
@@ -80,7 +81,7 @@ def _right_mass(spec, params, x):
 
 def test_mass_against_independent_quadrature(canonical_small):
     # the right mass of gamma_j is (j-1)/p, by an adaptive quadrature
-    # independent of the Chebyshev panels
+    # independent of the closed-form mass
     cases = [(canonical_small, (4, 8, 15)), (_gapped(), (5, 21, 23, 30, 39))]
     for (spec, params), js in cases:
         edge = find_right_edge(spec, params)
@@ -102,15 +103,62 @@ def test_mass_against_independent_quadrature(canonical_small):
     assert classical_locations(spec, params, 21, edge).gamma[20] == top[0]
 
 
-def test_unresolved_quadrature_names_component(monkeypatch):
-    # a jump inside the support resolves at no panel width: the cap on
-    # refinement rounds names the component, the theta range and the tail
-    monkeypatch.setattr(
-        quantiles, "density_curve", lambda spec, params, E, cfg=None: np.where(E > 1.0, 1.0, 0.5)
-    )
-    spec, params = make_spectrum([0.0] * 10), ModelParams(p=10, n=20, t=0.5)
-    with pytest.raises(SolverError, match=r"component 0 from the top, theta in \[.+\], tail"):
-        classical_locations(spec, params, 5, find_right_edge(spec, params))
+def test_right_mass_closed_form_marchenko_pastur():
+    # c = t = 1, every atom at 0: Phi(zeta) = (zeta + 1)^2 / zeta, so zeta(E)
+    # is the root of zeta^2 + (2 - E) zeta + 1 on the upper unit circle
+    E = np.linspace(0.02, 3.98, 50)
+    zeta = 0.5 * (E - 2.0) + 0.5j * np.sqrt(4.0 - (E - 2.0) ** 2)
+    R, m = freeconv._right_mass(np.zeros(30), 1.0, 1.0, zeta)
+    F = 2 / np.pi * np.arcsin(np.sqrt(E) / 2) + np.sqrt(E * (4 - E)) / (2 * np.pi)
+    npt.assert_allclose(R, 1.0 - F, rtol=0, atol=1e-13)
+    npt.assert_allclose(m.imag / np.pi, np.sqrt(E * (4 - E)) / (2 * np.pi * E), rtol=1e-13)
+
+
+def test_right_mass_against_quadrature():
+    # c = 0.1 brings in the log g term; zeta from the density walk
+    spec, params = _gapped()
+    d, c, t = spec.values, params.c_n, params.t
+    for left, right, x_c, phi2 in freeconv._support(d, c, t, find_right_edge(spec, params)):
+        E = left + (right - left) * np.array([0.9, 0.4, 0.05])
+        at = freeconv._walk(d, c, t, right, x_c, phi2, E, SolverConfig())[1]
+        R, _ = freeconv._right_mass(d, c, t, at[0] - at[1] / at[2])
+        for e, r in zip(E, R):
+            assert abs(r - _right_mass(spec, params, e)) < 1e-10
+
+
+def _small_t():
+    # at t = 1/n the top atoms each keep a component of their own
+    return canonical_sqrt_spectrum(200, 1.0), ModelParams(p=200, n=400, t=1.0 / 400)
+
+
+def test_small_t_masses_are_atom_counts():
+    # the mass above each right edge is #{d_i > x_c}/p: the top six
+    # components hold 1/p each, so gamma_2..gamma_7 are their left edges
+    spec, params = _small_t()
+    edge = find_right_edge(spec, params)
+    rows = freeconv._support(spec.values, params.c_n, params.t, edge)[::-1]
+    counts = [np.count_nonzero(spec.values > x_c) for x_c in rows[:7, 2]]
+    assert counts == list(range(7))
+    gamma = classical_locations(spec, params, 20, edge).gamma
+    assert np.array_equal(gamma[1:7], rows[:6, 0])
+
+
+def test_small_t_locations_work(monkeypatch):
+    # points through the walk's Newton: the Chebyshev-panel quadrature's
+    # density walks took 36,893 on this fixture
+    spec, params = _small_t()
+    edge = find_right_edge(spec, params)
+    columns = [0]
+    real = freeconv._newton_level
+
+    def counting(d, c, t, z_l, zeta, tol, max_iter):
+        columns[0] += zeta.shape[0]
+        return real(d, c, t, z_l, zeta, tol, max_iter)
+
+    monkeypatch.setattr(freeconv, "_newton_level", counting)
+    monkeypatch.setattr(quantiles, "_newton_level", counting, raising=False)
+    classical_locations(spec, params, 20, edge)
+    assert columns[0] < 36_893 // 10
 
 
 def test_classical_locations_validates_args(canonical_small):

@@ -3,6 +3,7 @@
     python3 tools/support_timing.py                      # the timing table
     python3 tools/support_timing.py --rows rows.npz      # also save the rows
     python3 tools/support_timing.py --compare a.npz b.npz
+    python3 tools/support_timing.py --locations          # classical locations
 
 Run from anywhere; rectconv is imported from the src/ of the checkout this
 file sits in, so a copy of this file in another checkout measures that
@@ -22,6 +23,11 @@ uniformly, n = ceil(ratio p) with ratio by choice from {1, 1.25, 2, 4},
 and t log-uniform on [1e-3, 3].  --compare prints, for two such files,
 every fixture or case whose rows differ, with the largest difference in
 units in the last place.
+
+--locations instead times classical_locations(j_max = 20) on p = 200, 1000
+and 2000 at the same three t, and prints the points one call passes
+through freeconv._newton_level (its columns) and the median wall time of
+--repeats warm calls.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from rectconv import ModelParams, canonical_sqrt_spectrum, find_right_edge, freeconv, make_spectrum, stieltjes  # noqa: E402
+from rectconv import ModelParams, canonical_sqrt_spectrum, classical_locations, find_right_edge, freeconv, make_spectrum, quantiles, stieltjes  # noqa: E402
 
 SIZES = (200, 500, 1000, 2000)
 TIMED_T = (("n^(-1/6)", -1.0 / 6.0), ("n^(-2/3)", -2.0 / 3.0), ("1/n", -1.0))
@@ -109,6 +115,37 @@ def timing(repeats):
             print(f"{p:>5} {label:>9} {f'{kept}/{total}':>11} {points:>8,} {comps:>6} {1e3 * np.median(times):>9.2f}")
 
 
+def locations(repeats):
+    print(f"{'p':>5} {'t':>9} {'columns':>9} {'ms':>10}")
+    real = freeconv._newton_level
+    columns = [0]
+
+    def newton(d, c, t, z_l, zeta, tol, max_iter):
+        columns[0] += zeta.shape[0]
+        return real(d, c, t, z_l, zeta, tol, max_iter)
+
+    # each module that imported the solver by name holds its own reference
+    patched = [m for m in (freeconv, quantiles) if getattr(m, "_newton_level", None) is real]
+    for p in ROW_SIZES:
+        for label, power in TIMED_T:
+            spec, params = fixture(p, power)
+            edge = find_right_edge(spec, params)
+            columns[0] = 0
+            for module in patched:
+                module._newton_level = newton
+            try:
+                classical_locations(spec, params, 20, edge)
+            finally:
+                for module in patched:
+                    module._newton_level = real
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                classical_locations(spec, params, 20, edge)
+                times.append(time.perf_counter() - t0)
+            print(f"{p:>5} {label:>9} {columns[0]:>9,} {1e3 * np.median(times):>10.1f}", flush=True)
+
+
 def save_rows(path):
     out = {}
     for p in ROW_SIZES:
@@ -144,9 +181,13 @@ def main(argv=None):
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--rows", metavar="NPZ")
     ap.add_argument("--compare", nargs=2, metavar="NPZ")
+    ap.add_argument("--locations", action="store_true")
     args = ap.parse_args(argv)
     if args.compare:
         compare(*args.compare)
+        return
+    if args.locations:
+        locations(args.repeats)
         return
     timing(args.repeats)
     if args.rows:
