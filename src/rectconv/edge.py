@@ -162,6 +162,8 @@ def _bracketed_newton(fun, lo, hi, xtol, *args):
     live = np.arange(lo.size)
     x = 0.5 * (lo + hi)
     for _ in range(_ROOT_STEPS):
+        if live.size == 0:
+            return out
         f, df, holds = fun(x, *args)
         lo, hi = np.where(holds, x, lo), np.where(holds, hi, x)
         step = f / df
@@ -172,8 +174,6 @@ def _bracketed_newton(fun, lo, hi, xtol, *args):
         keep = ~stop
         live, lo, hi, x = live[keep], lo[keep], hi[keep], x[keep]
         args = tuple(a[keep] for a in args)
-        if live.size == 0:
-            return out
         step, small = step[keep], small[keep]
         # a small step from the false side: twice the step, and one float
         # more, toward the true side

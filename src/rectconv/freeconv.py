@@ -72,7 +72,10 @@ __all__ = [
 _EPS = np.finfo(float).eps
 # Support finder: grid points between consecutive atoms, and the
 # bracketed Newton's relative tolerance at the peak of Phi', which only
-# decides whether a run exists (edge._ROOT_XTOL everywhere else).
+# decides whether a run exists (edge._ROOT_XTOL everywhere else).  A peak
+# bracket that ends at x_g with Phi''(x_g) > 0 is settled at x_g without
+# a search; the lowest zero of g is searched from a_0 - 2ct, where
+# m_v <= 1/(2ct) gives g >= 1/2.
 _SUPPORT_GRID = 16
 _PEAK_XTOL = 1e-8
 # Edge walk: the smallest E-step relative to max(1, the component's
@@ -523,7 +526,16 @@ def _support(d, c, t, edge):
     Each zero (of g, Phi'' and Phi') is solved by _bracketed_newton on the
     bracket and sign test the derivation gives, with the next derivative
     (Phi''' for the peak) from the same atom-sum pass, and comes back from
-    the side of its bracket where the sign test holds.
+    the side of its bracket where the sign test holds.  The lowest zero of
+    g is bracketed by [a_0 - 2ct, a_0]: every d_i >= a_0, so m_v <= 1/(2ct)
+    and g >= 1/2 at a_0 - 2ct.  The grid takes one atom-sum pass, and each
+    peak bracket spans the grid points next to its largest Phi'.  A bracket
+    whose largest Phi' is at its last grid point ends at x_g; where
+    Phi''(x_g) > 0 its peak is settled at x_g, the limit the search would
+    bisect to, and only the other brackets are searched.  Phi'(x_g) =
+    (1-c) t g' <= 0, so such a bracket has a run only where the grid's
+    largest Phi' is positive; Phi' at the computed x_g is not read, since
+    at c = 1 its sign is rounding.
     """
 
     def on_phi(order, positive):
@@ -547,15 +559,22 @@ def _support(d, c, t, edge):
     keep = _gaps_may_open(a, c, t, d.size)
     # the lowest interval's zero of g in the same batch as the kept ones': a
     # batch of one point has other low bits (_atom_sums sums it pairwise)
-    x_g = _bracketed_newton(on_g, np.append(L, a[:-1][keep]), np.append(a[0], a[1:][keep]), _ROOT_XTOL)
+    lo_g = np.append(a[0] - 2.0 * c * t, a[:-1][keep])
+    x_g = _bracketed_newton(on_g, lo_g, np.append(a[0], a[1:][keep]), _ROOT_XTOL)
 
     base, top = a[:-1][keep], x_g[1:]
     h = (top - base) / (_SUPPORT_GRID + 1)
     grid = base[:, None] + h[:, None] * np.arange(1, _SUPPORT_GRID + 1)
-    f = np.column_stack([slope(col) for col in grid.T])  # a column at a time: small temporaries
+    f = slope(grid.ravel()).reshape(grid.shape)
     j = np.arange(base.size), np.argmax(f, axis=1)
-    peak = _bracketed_newton(on_phi(2, True), grid[j] - h, np.minimum(grid[j] + h, top), _PEAK_XTOL)
-    f_peak = slope(peak)
+    # a bracket settled at x_g keeps its grid point and value: Phi'(x_g) <= 0
+    end = np.flatnonzero(j[1] == _SUPPORT_GRID - 1)
+    search = np.ones(base.size, dtype=bool)
+    search[end[_phi(d, c, t, top[end], 2)[2] > 0.0]] = False
+    peak, f_peak = grid[j], f[j]
+    lo, hi = peak[search] - h[search], np.minimum(peak + h, top)[search]
+    peak[search] = _bracketed_newton(on_phi(2, True), lo, hi, _PEAK_XTOL)
+    f_peak[search] = slope(peak[search])
     peak = np.where(f_peak > f[j], peak, grid[j])
     run = np.maximum(f_peak, f[j]) > 0.0
 

@@ -102,6 +102,15 @@ def test_edge_bracket_starts_at_the_sqrt_scale(monkeypatch):
     assert len(passes) <= 11
 
 
+def test_bracketed_newton_skips_empty_brackets():
+    # no points, no evaluation: the support finder hands it empty batches
+    def fun(x):
+        pytest.fail("fun called on no points")
+
+    out = edge_mod._bracketed_newton(fun, np.empty(0), np.empty(0), 1e-8)
+    assert out.shape == (0,)
+
+
 def test_edge_bracket_errors():
     # at t = 1e-30 Phi' stays positive down to d1 + 1e-14; at t = 1e7 the
     # noise-only critical point sqrt(c) t lies beyond d1 + 1e6

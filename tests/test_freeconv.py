@@ -534,8 +534,8 @@ def test_support_finds_cubed_uniform_narrow_gap():
     assert rho[1] == 0.0 and rho[0] > 0.1 and rho[2] > 0.1
 
 
-def _finder_points(spec, params, monkeypatch):
-    # atom-sum points of one _support call on a one-component fixture
+def _finder_work(spec, params, monkeypatch):
+    # atom-sum points and passes of one _support call on a one-component fixture
     edge = find_right_edge(spec, params)
     points = []
     real_sums = stieltjes._atom_sums
@@ -548,21 +548,51 @@ def _finder_points(spec, params, monkeypatch):
     monkeypatch.setattr(freeconv, "_atom_sums", counting)
     comps = freeconv._support(spec.values, params.c_n, params.t, edge)
     assert comps.shape == (1, 4) and comps[0, 1] == edge.lambda_plus
-    return sum(points)
+    return sum(points), len(points)
 
 
 def test_support_finder_work(monkeypatch):
-    # the spacing screen searches 4 of the 199 intervals between atoms:
+    # the spacing screen searches 4 of the 199 intervals between atoms, and
+    # all 4 peak brackets end at x_g with Phi'' > 0, so none is searched:
     # one _support call on the theory fixture evaluates the atom sums at
-    # 200 points (6,631 when every interval was searched)
-    assert _finder_points(*_theory_fixture(), monkeypatch) <= 220
+    # 110 points in 25 passes (200 in 67 with every peak bracket bisected
+    # and the grid a pass per column; 6,631 points when every interval was
+    # searched)
+    points, passes = _finder_work(*_theory_fixture(), monkeypatch)
+    assert points <= 120 and passes <= 28
 
 
 def test_support_finder_work_p1000(monkeypatch):
-    # 8 of 999 intervals: 356 points (28,898 when every one was searched)
+    # 8 of 999 intervals: 210 points in 35 passes (356 in 71 before the
+    # peak brackets were settled at x_g; 28,898 points when every interval
+    # was searched)
     n = 2000
     spec, params = canonical_sqrt_spectrum(1000, 1.0), ModelParams(p=1000, n=n, t=n ** (-1.0 / 6.0))
-    assert _finder_points(spec, params, monkeypatch) <= 390
+    points, passes = _finder_work(spec, params, monkeypatch)
+    assert points <= 230 and passes <= 38
+
+
+def test_support_settled_peak_at_c_one(monkeypatch):
+    # two clusters at c = 1: the one kept interval's peak bracket ends at
+    # x_g with Phi'' > 0 and is settled there without a search.  Phi'(x_g)
+    # is 0 at c = 1 and its computed sign is rounding; read as the peak's
+    # value, it opened a gap 1e-28 wide at the bottom of these spectra
+    sizes = []
+    real_newton = freeconv._bracketed_newton
+
+    def newton(fun, lo, hi, xtol, *args):
+        sizes.append(np.size(lo))
+        return real_newton(fun, lo, hi, xtol, *args)
+
+    monkeypatch.setattr(freeconv, "_bracketed_newton", newton)
+    for t, w in ((2.2, 0.5), (2.7, 0.5), (3.1, 0.1)):
+        spec = make_spectrum(np.concatenate([x + w * np.linspace(0.0, 1.0, 20) for x in (1.0, 3.0)]))
+        params = ModelParams(p=40, n=40, t=t)
+        sizes.clear()
+        comps = freeconv._support(spec.values, params.c_n, params.t, find_right_edge(spec, params))
+        # the zeros of g (the lowest and the kept interval's), then no peak search
+        assert sizes[:2] == [2, 0]
+        assert comps.shape[0] == 1 and comps[0, 0] == 0.0
 
 
 def _dropped_intervals_open(spec, params, points=200):
@@ -658,6 +688,11 @@ def test_support_property_random_spectra(clusters, ratio, log_t):
     comps = freeconv._support(spec.values, params.c_n, params.t, edge)
     left, right = comps[:, 0], comps[:, 1]
     assert np.all(np.diff(comps[:, :2].ravel()) > 0) and right[-1] == edge.lambda_plus
+
+    # the lowest zero of g is searched from a_0 - 2ct, where g >= 1/2 (up
+    # to the rounding of a_0 - 2ct, below 1e-12 on these spectra)
+    d, c, t = spec.values, params.c_n, params.t
+    assert 1.0 - c * t * _phi(d, c, t, d.min() - 2.0 * c * t)[-1] >= 0.5 - 1e-12
 
     # positive inside every component, exactly 0 in every gap and outside
     inside = (left[:, None] + (right - left)[:, None] * np.array([0.25, 0.5, 0.75])).ravel()

@@ -1,7 +1,6 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from rectconv import freeconv, quantiles
@@ -11,7 +10,7 @@ from rectconv import (
     SolverError,
     canonical_sqrt_spectrum,
     classical_locations,
-    density,
+    density_curve,
     eta_lower,
     find_right_edge,
     in_domain,
@@ -60,27 +59,25 @@ def _gapped():
 
 
 def _right_mass(spec, params, x):
-    # adaptive quadrature in theta on each component [l, r] above x, with
-    # E = (l+r)/2 + (r-l)/2 cos(theta): the mass element is smooth there
+    # composite 8-point Gauss-Legendre rule in theta on each component
+    # [l, r] above x, with E = (l+r)/2 + (r-l)/2 cos(theta): the mass
+    # element is smooth there.  One density_curve call per component
     lam = find_right_edge(spec, params).lambda_plus
-    mass = 0.0
+    s, w = np.polynomial.legendre.leggauss(8)
+    panels, mass = 64, 0.0
     for left, right in support_scan(spec, params, 0.0, 2.0 * lam, lam).intervals:
         if right <= x:
             continue
         mid, half = 0.5 * (left + right), 0.5 * (right - left)
-        top = np.arccos(np.clip((x - mid) / half, -1.0, 1.0))
-        mass += quad(
-            lambda th: density(spec, params, mid + half * np.cos(th)) * half * np.sin(th),
-            0.0,
-            top,
-            epsabs=1e-13,
-            limit=200,
-        )[0]
+        h = 0.5 * np.arccos(np.clip((x - mid) / half, -1.0, 1.0)) / panels
+        theta = h * (2.0 * np.arange(panels)[:, None] + 1.0 + s)
+        rho = density_curve(spec, params, mid + half * np.cos(theta).ravel()).reshape(theta.shape)
+        mass += h * np.sum(w * rho * half * np.sin(theta))
     return mass
 
 
 def test_mass_against_independent_quadrature(canonical_small):
-    # the right mass of gamma_j is (j-1)/p, by an adaptive quadrature
+    # the right mass of gamma_j is (j-1)/p, by a quadrature of the density
     # independent of the closed-form mass
     cases = [(canonical_small, (4, 8, 15)), (_gapped(), (5, 21, 23, 30, 39))]
     for (spec, params), js in cases:
@@ -112,6 +109,12 @@ def test_right_mass_closed_form_marchenko_pastur():
     F = 2 / np.pi * np.arcsin(np.sqrt(E) / 2) + np.sqrt(E * (4 - E)) / (2 * np.pi)
     npt.assert_allclose(R, 1.0 - F, rtol=0, atol=1e-13)
     npt.assert_allclose(m.imag / np.pi, np.sqrt(E * (4 - E)) / (2 * np.pi * E), rtol=1e-13)
+    # the quadrature helper the other mass tests check against reads the
+    # same closed form, from the hard edge up
+    spec, params = make_spectrum(np.zeros(30)), ModelParams(p=30, n=30, t=1.0)
+    for e, r in zip(E[::10], 1.0 - F[::10]):
+        assert abs(_right_mass(spec, params, e) - r) < 1e-13
+    assert abs(_right_mass(spec, params, 0.0) - 1.0) < 1e-13
 
 
 def test_right_mass_against_quadrature():

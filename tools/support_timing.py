@@ -11,8 +11,8 @@ tree.  The fixtures are canonical_sqrt_spectrum(p, 1.0) with n = 2p, for
 p = 200, 500, 1000 and 2000 and t = n^(-1/6), n^(-2/3) and 1/n.  Per
 fixture the script prints the intervals between consecutive distinct
 atoms that the finder solves in against all of them (kept/total), the
-atom-sum points of one call, the support components found, and the median
-wall time of --repeats warm calls.
+atom-sum points and passes (_atom_sums calls) of one call, the support
+components found, and the median wall time of --repeats warm calls.
 
 --rows also saves the finder's rows on p = 200, 1000 and 2000 at
 t = n^(-1/6), n^(-1/2) and n^(-2/3), and on a random clustered battery,
@@ -75,10 +75,10 @@ def rows(spec, params):
 
 
 def counted_call(d, c, t, edge):
-    """(kept, points, components) of one _support call.  kept is the size
-    of the first _bracketed_newton batch (the zeros of g) less the lowest
-    interval's."""
-    sizes, points = [], [0]
+    """(kept, points, passes, components) of one _support call.  kept is
+    the size of the first _bracketed_newton batch (the zeros of g) less the
+    lowest interval's."""
+    sizes, points = [], []
     real_newton, real_sums = freeconv._bracketed_newton, stieltjes._atom_sums
 
     def newton(fun, lo, hi, xtol, *args):
@@ -86,7 +86,7 @@ def counted_call(d, c, t, edge):
         return real_newton(fun, lo, hi, xtol, *args)
 
     def sums(d, zeta, order):
-        points[0] += zeta.shape[0]
+        points.append(zeta.shape[0])
         return real_sums(d, zeta, order)
 
     freeconv._bracketed_newton = newton
@@ -96,23 +96,23 @@ def counted_call(d, c, t, edge):
     finally:
         freeconv._bracketed_newton = real_newton
         freeconv._atom_sums = stieltjes._atom_sums = real_sums
-    return sizes[0] - 1, points[0], comps.shape[0]
+    return sizes[0] - 1, sum(points), len(points), comps.shape[0]
 
 
 def timing(repeats):
-    print(f"{'p':>5} {'t':>9} {'kept/total':>11} {'points':>8} {'comps':>6} {'ms':>9}")
+    print(f"{'p':>5} {'t':>9} {'kept/total':>11} {'points':>8} {'passes':>7} {'comps':>6} {'ms':>9}")
     for p in SIZES:
         for label, power in TIMED_T:
             spec, params = fixture(p, power)
             args = spec.values, params.c_n, params.t, find_right_edge(spec, params)
-            kept, points, comps = counted_call(*args)
+            kept, points, passes, comps = counted_call(*args)
             times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
                 freeconv._support(*args)
                 times.append(time.perf_counter() - t0)
             total = np.unique(spec.values).size - 1
-            print(f"{p:>5} {label:>9} {f'{kept}/{total}':>11} {points:>8,} {comps:>6} {1e3 * np.median(times):>9.2f}")
+            print(f"{p:>5} {label:>9} {f'{kept}/{total}':>11} {points:>8,} {passes:>7} {comps:>6} {1e3 * np.median(times):>9.2f}")
 
 
 def locations(repeats):
