@@ -124,6 +124,27 @@ def assemble_Wt(spec: Spectrum, params: ModelParams, X: np.ndarray) -> np.ndarra
     return W + np.sqrt(params.t) * X
 
 
+def _signal_plus_noise(spec: Spectrum, params: ModelParams, kind: str, seed: int) -> np.ndarray:
+    """assemble_Wt of the trial's noise, built in the noise's own buffer.
+
+    X *= sqrt(t) and then sqrt(d_i) added on the diagonal give assemble_Wt's
+    bits, the sign of zero included: off the diagonal 0 + y is y, and no
+    noise map yields -0.0.  At t = 0 the noise is zeroed instead, since
+    0 * x keeps a negative x's sign where assemble_Wt's 0 + 0 * x does not.
+    It saves a p x n zero matrix and a scaled copy.
+    """
+    if spec.p != params.p:
+        raise ValueError("spectrum size does not match params.p")
+    Y = sample_noise(params, kind, seed)
+    if params.t > 0.0:
+        Y *= np.sqrt(params.t)
+    else:
+        Y.fill(0.0)
+    diag = np.arange(params.p)
+    Y[diag, diag] += np.sqrt(spec.values)
+    return Y
+
+
 def singular_values_sq(Y: np.ndarray) -> np.ndarray:
     """Eigenvalues of Y Y^T, descending and clipped at 0, from the Gram matrix.
 
@@ -162,14 +183,35 @@ def run_trial(
     Every trial takes one symmetric eigensolve of the p x p matrix Y Y^T:
     eigenvalues only, or with vectors as well, in which case the right
     vectors come from one more product (see TrialRecord).  No trial
-    factors the p x n matrix Y itself.
+    factors the p x n matrix Y itself.  Y is assembled in the noise's
+    buffer, with assemble_Wt's bits.  Experiment streams take values-only
+    trials in stacks (_values_trials), with the same bits as this
+    function.
     """
-    X = sample_noise(params, kind, seed)
-    Y = assemble_Wt(spec, params, X)
+    Y = _signal_plus_noise(spec, params, kind, seed)
     if want_vectors:
         lam, U, V = _factor(Y)
         return TrialRecord(seed=seed, kind=kind, singular_values_sq=lam, left_vectors=U, right_vectors=V)
     return TrialRecord(seed=seed, kind=kind, singular_values_sq=singular_values_sq(Y))
+
+
+def _values_trials(spec: Spectrum, params: ModelParams, kind: str, seeds) -> list:
+    """run_trial(spec, params, kind, seed) for each seed, from one stacked eigvalsh.
+
+    Each trial's Gram matrix Y Y^T goes into a (k, p, p) stack as soon as
+    Y is sampled, so no Y outlives its product, and one eigvalsh solves
+    the stack.  The stack is what lets pool threads run in parallel:
+    numpy's eigvalsh releases the GIL only when (matrices x p) exceeds 500,
+    so a single 150 x 150 solve holds it throughout.  LAPACK solves each
+    matrix of the stack on its own, so the eigenvalues are run_trial's
+    bit for bit.
+    """
+    grams = np.empty((len(seeds), params.p, params.p))
+    for gram, seed in zip(grams, seeds):
+        Y = _signal_plus_noise(spec, params, kind, seed)
+        np.matmul(Y, Y.T, out=gram)
+    lam = np.maximum(np.linalg.eigvalsh(grams)[:, ::-1], 0.0)
+    return [TrialRecord(seed=seed, kind=kind, singular_values_sq=row) for seed, row in zip(seeds, lam)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .edge import EdgeData, find_right_edge, outlier_location, bbp_threshold
-from .ensemble import NOISE_KINDS, TrialRecord, derive_seed, pi_quadratic_form, pi_split_norm, resolvent_quadratic_form, run_trial
+from .ensemble import NOISE_KINDS, TrialRecord, _values_trials, derive_seed, pi_quadratic_form, pi_split_norm, resolvent_quadratic_form, run_trial
 from .freeconv import ConvolutionPoint, SolverConfig, SolverError, solve_many
 from .quantiles import _locations, classical_locations, eta_lower, in_domain
 from .spectrum import ModelParams, Spectrum, make_spectrum
@@ -114,10 +114,14 @@ def _config_digest(cfg: ExperimentConfig) -> dict:
 
 @functools.cache
 def _openblas_threads():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+    """(get, set, park) functions of numpy's bundled OpenBLAS, or None.
 
-    Resolved on first use, so importing the package loads nothing.  None
-    when numpy links another BLAS build, which then keeps its own setting.
+    get and set read and set the thread count.  park is OpenBLAS's own
+    blas_thread_shutdown_ (its fork handler calls it): it ends the idle
+    worker threads, and the next multi-threaded call starts them again.
+    park does nothing where the library does not export it.  Resolved on
+    first use, so importing the package loads nothing.  None when numpy
+    links another BLAS build, which then keeps its own setting.
     """
     import glob
 
@@ -131,7 +135,11 @@ def _openblas_threads():
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        park = getattr(lib, "blas_thread_shutdown_", None)
+        if park is None:
+            return get, set_, lambda: None
+        park.argtypes, park.restype = [], ctypes.c_int
+        return get, set_, park
     return None
 
 
@@ -141,37 +149,69 @@ def _one_blas_thread():
 
     The trial pool is the one layer of parallelism: BLAS threads under it
     would oversubscribe the cores, and OpenBLAS splits sums differently
-    with the thread count, which would change report bytes.  The setting
-    is process-wide, so it is made once around a whole stream, never per
+    with the thread count, which would change report bytes.  Idle OpenBLAS
+    workers are parked after each setting: after a multi-threaded call a
+    worker spins for about 130 ms, and a lower count does not stop it, so
+    it would take a core from the pool; restoring the count starts the
+    workers again, and they would spin as long.  The count and the parking
+    are process-wide, so both happen once around a whole stream, never per
     trial from the pool threads.
     """
     handle = _openblas_threads()
     if handle is None:
         yield
         return
-    get, set_ = handle
+    get, set_, park = handle
     old = get()
     set_(1)
+    park()
     try:
         yield
     finally:
         set_(old)
+        park()
+
+
+_STACK = 8  # most values-only trials one pool task eigensolves at once
+
+
+def _chunks(seeds: list, threads: int) -> list:
+    """Contiguous runs of seeds, one pool task each.
+
+    None is longer than _STACK, and there are as many as a multiple of
+    threads where the seeds allow, so the pool's threads get equal work;
+    lengths differ by at most one.
+    """
+    count = min(len(seeds), threads * -(-len(seeds) // (_STACK * threads)))
+    k, r = divmod(len(seeds), count)
+    ends = [i * k + min(i, r) for i in range(count + 1)]
+    return [seeds[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _run_stream(cfg: ExperimentConfig, spec: Spectrum, kind: str, stream: int, want_vectors=False, reduce=None):
     """The stream's trials in seed order, or reduce(record) of each one.
 
-    A reducer runs on the trial's own thread right after the trial, under
-    the same BLAS pin, so the stream holds its rows and never the records.
+    A pool task is a contiguous chunk of the stream's seeds (_chunks).
+    Values-only trials are eigensolved in one stack per chunk
+    (ensemble._values_trials), since numpy's eigvalsh holds the GIL unless
+    (matrices x p) exceeds 500, and unstacked trials would run one at a
+    time however many threads the pool has.  Trials with vectors take one
+    eigh each, which releases the GIL already; a stack of their U and V
+    would only raise memory.  A reducer runs on the pool thread
+    right after each record is made, under the same BLAS pin, so the
+    stream holds its rows and never the records.
     """
     seeds = [derive_seed(cfg.base_seed, stream, i) for i in range(cfg.trials)]
 
-    def work(i: int):
-        rec = run_trial(spec, cfg.params, kind, seeds[i], want_vectors)
-        return rec if reduce is None else reduce(rec)
+    def work(chunk: list) -> list:
+        if want_vectors:
+            records = (run_trial(spec, cfg.params, kind, seed, True) for seed in chunk)
+        else:
+            records = _values_trials(spec, cfg.params, kind, chunk)
+        return [rec if reduce is None else reduce(rec) for rec in records]
 
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(work, range(cfg.trials)))
+        return [row for rows in pool.map(work, _chunks(seeds, cfg.threads)) for row in rows]
 
 
 def _percentile(values, q: float) -> float:

@@ -232,6 +232,41 @@ def test_values_only_trial_matches_svd(spec, params, kind):
     assert rank_estimator(rec, omega, 10) == rank_estimator(ref, omega, 10)
 
 
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_stacked_values_trials_match_singular_values_sq(kind):
+    spec, params = canonical_sqrt_spectrum(150, 1.0), ModelParams(p=150, n=300, t=300 ** (-1.0 / 6.0))
+    # stacks of one, of a pool chunk and of the longest chunk
+    for count in (1, 5, 8):
+        seeds = [derive_seed(5, count, i) for i in range(count)]
+        records = ensemble._values_trials(spec, params, kind, seeds)
+        assert [r.seed for r in records] == seeds
+        for rec, seed in zip(records, seeds):
+            assert rec.kind == kind and rec.left_vectors is None and rec.right_vectors is None
+            Y = assemble_Wt(spec, params, sample_noise(params, kind, seed))
+            assert rec.singular_values_sq.tobytes() == singular_values_sq(Y).tobytes()
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize("t", [0.0, 1e-300, 0.3, 4.0])
+def test_in_place_assembly_matches_assemble_Wt(kind, t):
+    # zero atoms put sqrt(d_i) = 0 on the diagonal, where 0 + x decides the sign of a zero
+    spec = make_spectrum([2.0, 1.0] + [0.0] * 28)
+    params = ModelParams(p=30, n=45, t=t)
+    for i in range(4):
+        seed = derive_seed(9, 0, i)
+        W = assemble_Wt(spec, params, sample_noise(params, kind, seed))
+        Y = ensemble._signal_plus_noise(spec, params, kind, seed)
+        assert np.array_equal(np.signbit(Y), np.signbit(W))
+        assert Y.tobytes() == W.tobytes()
+
+
+def test_run_trial_validates_spectrum_size():
+    params = ModelParams(p=2, n=4, t=0.1)
+    for spec in (make_spectrum([1.0]), make_spectrum([1.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="spectrum size"):
+            run_trial(spec, params, "gaussian", seed=1)
+
+
 # ---------------------------------------------------------------------------
 # deterministic equivalent
 

@@ -124,7 +124,7 @@ def blas_threads():
     handle = experiments._openblas_threads()
     if handle is None:
         pytest.skip("numpy links a BLAS without the scipy-openblas thread symbols")
-    get, set_ = handle
+    get, set_, _ = handle
     old = get()
     set_(2)
     yield get
@@ -132,15 +132,25 @@ def blas_threads():
 
 
 def _spy_trials(monkeypatch, probe):
-    """Record probe() inside every trial, from whichever thread runs it."""
+    """Record probe() inside every trial, from whichever thread runs it.
+
+    Vector trials go through run_trial one at a time and values-only
+    trials through _values_trials a chunk at a time; each records one
+    probe per trial.
+    """
     seen = []
-    real = experiments.run_trial
+    run_trial, values_trials = experiments.run_trial, experiments._values_trials
 
-    def spy(*args):
+    def spy_trial(*args):
         seen.append(probe())
-        return real(*args)
+        return run_trial(*args)
 
-    monkeypatch.setattr(experiments, "run_trial", spy)
+    def spy_values(spec, params, kind, seeds):
+        seen.extend(probe() for _ in seeds)
+        return values_trials(spec, params, kind, seeds)
+
+    monkeypatch.setattr(experiments, "run_trial", spy_trial)
+    monkeypatch.setattr(experiments, "_values_trials", spy_values)
     return seen
 
 
@@ -150,21 +160,36 @@ def test_one_blas_thread_restores_count(blas_threads):
     assert blas_threads() == 2
 
 
+def test_one_blas_thread_leaves_blas_working(blas_threads):
+    # parking ends the idle workers; the next 2-thread call starts them again
+    a = np.random.default_rng(0).standard_normal((400, 400))
+    with experiments._one_blas_thread():
+        one = a @ a
+    assert blas_threads() == 2
+    np.testing.assert_allclose(a @ a, one, rtol=1e-13, atol=1e-12)
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_stream_pins_blas_once(blas_threads, monkeypatch, threads):
-    get, set_ = experiments._openblas_threads()
+    get, set_, park = experiments._openblas_threads()
     calls = []
     monkeypatch.setattr(
-        experiments, "_openblas_threads", lambda: (get, lambda k: (calls.append(k), set_(k)))
+        experiments,
+        "_openblas_threads",
+        lambda: (get, lambda k: (calls.append(k), set_(k)), lambda: (calls.append("park"), park())),
     )
     seen = _spy_trials(monkeypatch, blas_threads)
     cfg = _small_cfg(p=10, n=20, trials=6, threads=threads)
-    records = experiments._run_stream(cfg, cfg.spec, "gaussian", 0)
-    assert len(records) == 6
-    assert seen == [1] * 6
-    # process-wide setting: once on entry and once on exit, never per trial
-    assert calls == [1, 2]
-    assert blas_threads() == 2
+    for want_vectors in (False, True):
+        calls.clear()
+        seen.clear()
+        records = experiments._run_stream(cfg, cfg.spec, "gaussian", 0, want_vectors)
+        assert len(records) == 6
+        assert seen == [1] * 6
+        # process-wide setting: once on entry and once on exit, never per
+        # trial, each followed by parking the idle workers
+        assert calls == [1, "park", 2, "park"]
+        assert blas_threads() == 2
 
 
 def test_pooled_stream_restores_blas_when_a_trial_raises(blas_threads, monkeypatch):
@@ -172,10 +197,12 @@ def test_pooled_stream_restores_blas_when_a_trial_raises(blas_threads, monkeypat
         raise FloatingPointError("trial failed")
 
     monkeypatch.setattr(experiments, "run_trial", fail)
+    monkeypatch.setattr(experiments, "_values_trials", fail)
     cfg = _small_cfg(p=10, n=20, trials=6, threads=3)
-    with pytest.raises(FloatingPointError, match="trial failed"):
-        experiments._run_stream(cfg, cfg.spec, "gaussian", 0)
-    assert blas_threads() == 2
+    for want_vectors in (False, True):
+        with pytest.raises(FloatingPointError, match="trial failed"):
+            experiments._run_stream(cfg, cfg.spec, "gaussian", 0, want_vectors)
+        assert blas_threads() == 2
 
 
 def test_stream_runs_without_openblas_symbols(monkeypatch):
@@ -194,6 +221,46 @@ def test_stream_runs_without_openblas_symbols(monkeypatch):
     assert probe() == before
 
 
+@pytest.fixture
+def openblas_without_park(monkeypatch):
+    """_openblas_threads resolved from a library that lacks blas_thread_shutdown_."""
+    if experiments._openblas_threads() is None:
+        pytest.skip("numpy links a BLAS without the scipy-openblas thread symbols")
+    real = experiments.ctypes.CDLL
+
+    class NoPark:
+        def __init__(self, path):
+            self._lib = real(path)
+
+        def __getattr__(self, name):
+            if name == "blas_thread_shutdown_":
+                raise AttributeError(name)
+            return getattr(self._lib, name)
+
+    monkeypatch.setattr(experiments.ctypes, "CDLL", NoPark)
+    experiments._openblas_threads.cache_clear()
+    try:
+        yield experiments._openblas_threads()
+    finally:
+        experiments._openblas_threads.cache_clear()
+
+
+def test_stream_pins_blas_without_park_symbol(openblas_without_park, monkeypatch):
+    get, set_, park = openblas_without_park
+    old = get()
+    set_(2)
+    try:
+        assert park() is None
+        seen = _spy_trials(monkeypatch, get)
+        cfg = _small_cfg(p=10, n=20, trials=5, threads=2)
+        rows = experiments._run_stream(cfg, cfg.spec, "gaussian", 0, reduce=lambda rec: rec.seed)
+        assert rows == [experiments.derive_seed(cfg.base_seed, 0, i) for i in range(5)]
+        assert seen == [1] * 5
+        assert get() == 2
+    finally:
+        set_(old)
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_stream_reducer_rows_in_seed_order(threads):
     cfg = _small_cfg(p=10, n=20, trials=7, threads=threads)
@@ -205,14 +272,41 @@ def test_stream_reducer_rows_in_seed_order(threads):
     assert rows == [(r.seed, r.singular_values_sq.tobytes()) for r in records]
 
 
+@pytest.mark.parametrize("trials", [1, 7, 17, 20])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_chunked_values_stream_matches_one_trial_per_seed(threads, trials):
+    cfg = _small_cfg(p=30, n=60, trials=trials, threads=threads)
+    records = experiments._run_stream(cfg, cfg.spec, "trinary", 4)
+    seeds = [experiments.derive_seed(cfg.base_seed, 4, i) for i in range(trials)]
+    assert [r.seed for r in records] == seeds
+    with experiments._one_blas_thread():
+        expected = [run_trial(cfg.spec, cfg.params, "trinary", seed) for seed in seeds]
+    assert all(r.kind == "trinary" and r.left_vectors is None for r in records)
+    assert [r.singular_values_sq.tobytes() for r in records] == [
+        e.singular_values_sq.tobytes() for e in expected
+    ]
+
+
+@pytest.mark.parametrize(
+    "trials, threads, sizes",
+    [(20, 2, [5] * 4), (17, 2, [5, 4, 4, 4]), (7, 3, [3, 2, 2]), (1, 3, [1]), (17, 1, [6, 6, 5]), (16, 1, [8, 8])],
+)
+def test_stream_chunks(trials, threads, sizes):
+    seeds = list(range(trials))
+    chunks = experiments._chunks(seeds, threads)
+    assert [len(c) for c in chunks] == sizes
+    assert [s for c in chunks for s in c] == seeds
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_stream_reducer_runs_under_blas_pin(blas_threads, threads):
     cfg = _small_cfg(p=10, n=20, trials=5, threads=threads)
-    seen = experiments._run_stream(
-        cfg, cfg.spec, "gaussian", 0, want_vectors=True, reduce=lambda rec: blas_threads()
-    )
-    assert seen == [1] * 5
-    assert blas_threads() == 2
+    for want_vectors in (True, False):
+        seen = experiments._run_stream(
+            cfg, cfg.spec, "gaussian", 0, want_vectors=want_vectors, reduce=lambda rec: blas_threads()
+        )
+        assert seen == [1] * 5
+        assert blas_threads() == 2
 
 
 def test_rigidity_structure():
