@@ -42,18 +42,32 @@ class TrialRecord:
 
     Vectors are populated only when an experiment asks for them:
     left_vectors U (p x p) are the eigenvectors of Y Y^T, ordered like
-    singular_values_sq, and right_vectors (n x p) is Y^T U / s with
-    s = sqrt(singular_values_sq), so that Y = U diag(s) V^T.  A column of
-    right_vectors is 0 where s = 0; where s sits at the Gram matrix's
-    rounding level (a rank-deficient Y) it is not a unit vector, but
-    s * v = Y^T u holds in every column.
+    singular_values_sq, and matrix is the trial's p x n matrix Y itself.
+    Every use of the right singular vectors needs only s V^T x = U^T (Y x),
+    so V is not stored; right_vectors derives it on access.
     """
 
     seed: int
     kind: str
     singular_values_sq: np.ndarray
     left_vectors: np.ndarray | None = None
-    right_vectors: np.ndarray | None = None
+    matrix: np.ndarray | None = None
+
+    @property
+    def right_vectors(self) -> np.ndarray | None:
+        """V = Y^T U / s (n x p), s = sqrt(singular_values_sq), so Y = U diag(s) V^T.
+
+        Derived from one product on every access; None without vectors.  A
+        column is 0 where s = 0; where s sits at the Gram matrix's rounding
+        level (a rank-deficient Y) it is not a unit vector, but s * v = Y^T u
+        holds in every column.
+        """
+        if self.left_vectors is None or self.matrix is None:
+            return None
+        s = np.sqrt(self.singular_values_sq)
+        V = self.matrix.T @ self.left_vectors
+        V /= np.where(s > 0.0, s, np.inf)
+        return V
 
 
 def _splitmix(x: int) -> int:
@@ -158,17 +172,13 @@ def singular_values_sq(Y: np.ndarray) -> np.ndarray:
 
 
 def _factor(Y: np.ndarray):
-    """(lam, U, V) of Y from one eigh of the Gram matrix Y Y^T.
+    """(lam, U) of Y from one eigh of the Gram matrix Y Y^T.
 
-    lam descends and is clipped at 0 like singular_values_sq; V = Y^T U / s
-    comes from one product, with its columns set to 0 where s = 0.
+    lam descends and is clipped at 0 like singular_values_sq.  The right
+    vectors are not formed: the trial keeps Y instead (see TrialRecord).
     """
     lam, U = np.linalg.eigh(Y @ Y.T)
-    lam, U = np.maximum(lam[::-1], 0.0), U[:, ::-1]
-    s = np.sqrt(lam)
-    V = Y.T @ U
-    V /= np.where(s > 0.0, s, np.inf)
-    return lam, U, V
+    return np.maximum(lam[::-1], 0.0), U[:, ::-1]
 
 
 def run_trial(
@@ -181,17 +191,17 @@ def run_trial(
     """Sample one trial and factor it by the Gram route.
 
     Every trial takes one symmetric eigensolve of the p x p matrix Y Y^T:
-    eigenvalues only, or with vectors as well, in which case the right
-    vectors come from one more product (see TrialRecord).  No trial
-    factors the p x n matrix Y itself.  Y is assembled in the noise's
-    buffer, with assemble_Wt's bits.  Experiment streams take values-only
-    trials in stacks (_values_trials), with the same bits as this
-    function.
+    eigenvalues only, or with vectors as well, in which case the record
+    keeps the left vectors U and Y itself, and no right vectors are
+    formed (see TrialRecord).  No trial factors the p x n matrix Y.  Y is
+    assembled in the noise's buffer, with assemble_Wt's bits.  Experiment
+    streams take values-only trials in stacks (_values_trials), with the
+    same bits as this function.
     """
     Y = _signal_plus_noise(spec, params, kind, seed)
     if want_vectors:
-        lam, U, V = _factor(Y)
-        return TrialRecord(seed=seed, kind=kind, singular_values_sq=lam, left_vectors=U, right_vectors=V)
+        lam, U = _factor(Y)
+        return TrialRecord(seed=seed, kind=kind, singular_values_sq=lam, left_vectors=U, matrix=Y)
     return TrialRecord(seed=seed, kind=kind, singular_values_sq=singular_values_sq(Y))
 
 
@@ -279,23 +289,23 @@ def resolvent_quadratic_form(record: TrialRecord, z, u: np.ndarray, v: np.ndarra
 
     z is a scalar, which gives a complex, or a 1-d array, which gives an
     array; every z needs Im z != 0.  With (a1, b1) = U^T (u1, v1), the
-    projections of the top blocks, and (y_u, y_v) = s V^T (u2, v2), which
-    equal U^T Y (u2, v2), the block identities give the division-free form
+    projections of the top blocks, and (y_u, y_v) = U^T Y (u2, v2), the
+    lower blocks projected through Y (equal to s V^T (u2, v2)), the block
+    identities give the division-free form
 
         sum_k [a1 b1 + z^(-1/2) (a1 y_v + y_u b1) + y_u y_v / z] / (lam_k - z)
             - u2 . v2 / z,
 
     where the last term is the pure-noise kernel of the lower block.  No
-    1/s appears, so the form is exact where s_k = 0, and no dense inverse
-    is formed.
+    1/s appears, so the form is exact where s_k = 0; neither the right
+    vectors nor a dense inverse is formed.
     """
-    if record.left_vectors is None or record.right_vectors is None:
+    if record.left_vectors is None or record.matrix is None:
         raise ValueError("trial record lacks singular vectors; rerun with want_vectors")
     U = record.left_vectors
-    V = record.right_vectors
+    Y = record.matrix
     lam = record.singular_values_sq
-    p = U.shape[0]
-    n = V.shape[0]
+    p, n = Y.shape
     if u.shape != (p + n,) or v.shape != (p + n,):
         raise ValueError(f"vectors must have length p+n={p + n}")
     zs = np.asarray(z, dtype=complex)
@@ -304,9 +314,8 @@ def resolvent_quadratic_form(record: TrialRecord, z, u: np.ndarray, v: np.ndarra
     if np.any(zs.imag == 0):
         raise ValueError("resolvent evaluation needs Im z != 0")
     za = np.atleast_1d(zs)
-    s = np.sqrt(lam)
-    a1, b1 = np.stack([u[:p], v[:p]]) @ U
-    y_u, y_v = s * (np.stack([u[p:], v[p:]]) @ V)
+    # one product with U: matmul copies the column-reversed view on each call
+    a1, b1, y_u, y_v = np.vstack([u[:p], v[:p], np.stack([u[p:], v[p:]]) @ Y.T]) @ U
     rz = 1.0 / np.sqrt(za)
     sums = np.stack([a1 * b1, a1 * y_v + y_u * b1, y_u * y_v]) @ (1.0 / (lam[:, None] - za[None, :]))
     qf = sums[0] + rz * sums[1] + (sums[2] - u[p:] @ v[p:]) / za

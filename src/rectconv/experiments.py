@@ -196,7 +196,7 @@ def _run_stream(cfg: ExperimentConfig, spec: Spectrum, kind: str, stream: int, w
     (ensemble._values_trials), since numpy's eigvalsh holds the GIL unless
     (matrices x p) exceeds 500, and unstacked trials would run one at a
     time however many threads the pool has.  Trials with vectors take one
-    eigh each, which releases the GIL already; a stack of their U and V
+    eigh each, which releases the GIL already; a stack of their U and Y
     would only raise memory.  A reducer runs on the pool thread
     right after each record is made, under the same BLAS pin, so the
     stream holds its rows and never the records.
@@ -376,7 +376,7 @@ def _deloc_panel(params: ModelParams, base_seed: int):
 
 
 def delocalization_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Squared overlaps of edge singular vectors against the equivalent's bound.
+    """Squared overlaps of edge left singular vectors against the equivalent's bound.
 
     For each rank k the bound is eta_l(gamma_k) * [Im Pi_uu(z_k) +
     control(z_k) * ||u||_Pi(z_k)] at z_k = gamma_k + i eta_l(gamma_k).
@@ -446,7 +446,8 @@ def local_law_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     The averaged statistic is |m_hat - m| * n * eta; the anisotropic one
     normalizes |u^T (G - Pi) v| by (t Psi + sqrt(t/n)) ||u||_Pi ||v||_Pi
-    for a fixed random unit pair.  Every grid point must lie in the
+    for a fixed random unit pair, from each trial's U and Y (see
+    resolvent_quadratic_form).  Every grid point must lie in the
     domain where the bounds are asserted.
     """
     spec, params = cfg.spec, cfg.params

@@ -1,12 +1,15 @@
 """Noise sampling, trial records, and the two resolvent routes."""
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rectconv import ensemble
+from rectconv import ensemble, experiments
 from rectconv import (
     ModelParams,
     NOISE_KINDS,
@@ -14,6 +17,7 @@ from rectconv import (
     assemble_Wt,
     canonical_sqrt_spectrum,
     derive_seed,
+    find_right_edge,
     make_spectrum,
     noise_entry,
     pi_apply,
@@ -192,6 +196,23 @@ def test_run_trial_vectors():
         npt.assert_allclose(rec.singular_values_sq[:20], s[:20] ** 2, rtol=1e-12)
         align = np.abs(np.sum(U[:, :5] * U_svd[:, :5], axis=0))
         npt.assert_allclose(align, 1.0, rtol=0, atol=1e-10)
+
+
+def test_perfbench_trial_measure_reads_records(monkeypatch):
+    # perfbench's trace sizes every record run_trial returns; load its
+    # spans module by path so a change to TrialRecord cannot break it unseen
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    monkeypatch.setitem(sys.modules, "perfbench_spans", spans)
+    module_spec.loader.exec_module(spans)
+    spec = make_spectrum([1.0] * 3 + [0.0] * 9)
+    params = ModelParams(p=12, n=20, t=0.5)
+    rec = run_trial(spec, params, "gaussian", seed=5, want_vectors=True)
+    measured = spans._measure_trial((spec, params, "gaussian", 5, True), {}, rec)
+    assert measured == {"bytes": 8 * (12 + 12 * 12 + 20 * 12)}
+    bare = run_trial(spec, params, "gaussian", seed=5)
+    assert spans._measure_trial((spec, params, "gaussian", 5), {}, bare) == {"bytes": 8 * 12}
 
 
 def test_run_trial_without_vectors():
@@ -405,13 +426,16 @@ def test_resolvent_rank_deficient_square():
     # zero rows at the ends decouple in the tridiagonal reduction, so
     # eigh returns their eigenvalues as exact zeros
     Y[[0, 29]] = 0.0
-    lam, U, V = ensemble._factor(Y)
-    s = np.sqrt(lam)
-    assert np.count_nonzero(s == 0) == 2
-    assert np.all(V[:, s == 0] == 0.0)
-    npt.assert_allclose(U @ np.diag(s) @ V.T, Y, rtol=0, atol=1e-10)
+    lam, U = ensemble._factor(Y)
+    zero = lam == 0.0
+    assert np.count_nonzero(zero) == 2
+    # the lower projections U^T Y x vanish exactly on those two vectors
+    assert np.all(Y.T @ U[:, zero] == 0.0)
 
-    rec = TrialRecord(seed=0, kind="gaussian", singular_values_sq=lam, left_vectors=U, right_vectors=V)
+    rec = TrialRecord(seed=0, kind="gaussian", singular_values_sq=lam, left_vectors=U, matrix=Y)
+    V = rec.right_vectors
+    assert np.all(V[:, zero] == 0.0)
+    npt.assert_allclose(U @ np.diag(np.sqrt(lam)) @ V.T, Y, rtol=0, atol=1e-10)
     rng = np.random.default_rng(57)
     zs = (1.5 + 0.3j, 0.05 + 0.01j, -0.8 + 0.5j)
     for z in zs:
@@ -420,6 +444,30 @@ def test_resolvent_rank_deficient_square():
             u = rng.standard_normal(60)
             v = rng.standard_normal(60)
             assert resolvent_quadratic_form(rec, z, u, v) == pytest.approx(complex(u @ G @ v), rel=1e-9)
+
+
+def test_resolvent_matches_right_vector_form():
+    # the local-law experiment's size and default grid: projecting the lower
+    # blocks through Y must agree with the form built on V = Y^T U / s
+    n = 400
+    spec = canonical_sqrt_spectrum(200, 1.0)
+    params = ModelParams(p=200, n=n, t=float(n) ** (-1.0 / 6.0))
+    zs = np.array(experiments._default_z_grid(params, find_right_edge(spec, params)))
+    assert zs.shape == (12,)
+    rng = np.random.default_rng(58)
+    u, v = rng.standard_normal((2, 600))
+    u /= np.linalg.norm(u)
+    v /= np.linalg.norm(v)
+    for seed in (derive_seed(13, 0, 0), derive_seed(13, 0, 1)):
+        rec = run_trial(spec, params, "gaussian", seed, want_vectors=True)
+        U, V, lam = rec.left_vectors, rec.right_vectors, rec.singular_values_sq
+        s = np.sqrt(lam)
+        a1, b1 = np.stack([u[:200], v[:200]]) @ U
+        y_u, y_v = s * (np.stack([u[200:], v[200:]]) @ V)
+        rz = 1.0 / np.sqrt(zs)
+        sums = np.stack([a1 * b1, a1 * y_v + y_u * b1, y_u * y_v]) @ (1.0 / (lam[:, None] - zs[None, :]))
+        ref = sums[0] + rz * sums[1] + (sums[2] - u[200:] @ v[200:]) / zs
+        npt.assert_allclose(resolvent_quadratic_form(rec, zs, u, v), ref, rtol=1e-12, atol=0)
 
 
 def test_resolvent_trace_matches_empirical_stieltjes():
