@@ -194,15 +194,14 @@ def run_trial(
     eigenvalues only, or with vectors as well, in which case the record
     keeps the left vectors U and Y itself, and no right vectors are
     formed (see TrialRecord).  No trial factors the p x n matrix Y.  Y is
-    assembled in the noise's buffer, with assemble_Wt's bits.  Experiment
-    streams take values-only trials in stacks (_values_trials), with the
-    same bits as this function.
+    assembled in the noise's buffer, with assemble_Wt's bits.  A values-only
+    trial is a stack of one (_values_trials), as experiment streams take them.
     """
+    if not want_vectors:
+        return _values_trials(spec, params, kind, [seed])[0]
     Y = _signal_plus_noise(spec, params, kind, seed)
-    if want_vectors:
-        lam, U = _factor(Y)
-        return TrialRecord(seed=seed, kind=kind, singular_values_sq=lam, left_vectors=U, matrix=Y)
-    return TrialRecord(seed=seed, kind=kind, singular_values_sq=singular_values_sq(Y))
+    lam, U = _factor(Y)
+    return TrialRecord(seed=seed, kind=kind, singular_values_sq=lam, left_vectors=U, matrix=Y)
 
 
 def _values_trials(spec: Spectrum, params: ModelParams, kind: str, seeds) -> list:

@@ -33,13 +33,14 @@ points accept arrays of evaluation points and solve them in lockstep.
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
 with Im zeta > 0.  The support edges are Phi at the real critical points
 of Phi where g > 0, each found by Newton kept inside the bracket that the
-sign of g, Phi' or Phi'' sets.  Each component is walked down from its
-right edge in doubling blocks of energies, seeded by the quadratic
-expansion of Phi there and then by a linear predictor, and every block
-is solved by the ladder's own Newton with its relative target and
-iteration budget.  A root counts only inside the disc around its seed
-that reaches down to the real axis; after a failure the walk goes on one
-point at a time and halves its step.  Energies outside every component
+sign of g, Phi' or Phi'' sets.  One walk follows that branch for densities
+and classical locations: each track of energies starts at a support edge
+or an accepted point and takes doubling blocks, seeded from its last
+accepted point (by the expansion of Phi at the edge, then a linear
+predictor) and solved by the ladder's own Newton.  A root counts only
+inside the disc around its seed that reaches down to the real axis, where
+the atoms and the real roots of Phi = E lie; after a failure a track takes
+one point at a time and halves its step.  Energies outside every component
 have density exactly 0; at t = 0 the measure is atomic and has none.
 """
 
@@ -78,8 +79,8 @@ _EPS = np.finfo(float).eps
 # m_v <= 1/(2ct) gives g >= 1/2.
 _SUPPORT_GRID = 16
 _PEAK_XTOL = 1e-8
-# Edge walk: the smallest E-step relative to max(1, the component's
-# right edge).
+# Real-axis walk: the smallest E-step relative to max(1, |E|) at a
+# track's last accepted point.
 _WALK_FLOOR = 1e-12
 # Off-axis ladder: top level, ratio between levels, the fixed-point
 # sweeps' initial damping, and the sweeps that start the ladder top.
@@ -257,29 +258,33 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
     F = ph - z_l
     absF = np.abs(F)
     used = np.zeros(zeta.shape[0], dtype=int)
+    if (absF <= target).all():  # the seeds solve it: no floor to track
+        return zeta, used, F, dph, mv
     stuck = np.zeros(zeta.shape[0], dtype=bool)
     # elsewhere the floor lies far below the target (at most a tenth of it
     # on the theory fixture), and tracking it would cost a 12-point solve
     # about a fifth of its time; settled marks an iterate after one at the
     # floor
     floor = _rounding_floor(d.size, c, t, zeta, mv)
-    track = bool(np.any(floor > target))
+    track = bool((floor > target).any())
     at_floor = settled = np.zeros(zeta.shape[0], dtype=bool)
     for _ in range(max_iter):
+        done = absF <= target
         if track:
             at_floor = absF <= floor
-        done = (absF <= target) | (at_floor & settled)
-        if bool(np.all(done | stuck)):
+            done |= at_floor & settled
+        idle = done | stuck
+        if idle.all():
             break
-        used += ~(done | stuck)
-        step = np.where(done | stuck, 0.0, F / dph)
-        lam = np.ones(zeta.shape[0])
+        used += ~idle
+        step = np.where(idle, 0.0, F / dph)
+        lam = 1.0
         cand = zeta - step
         phc, dphc, mvc = _phi(d, c, t, cand, 1)
         Fc = phc - z_l
         absFc = np.abs(Fc)
         for _ in range(40):
-            better = ((absFc < absF) & (cand.imag > 0)) | done | stuck
+            better = ((absFc < absF) & (cand.imag > 0)) | idle
             if better.all():
                 break
             lam = np.where(better, lam, lam * 0.5)
@@ -289,13 +294,13 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
             dphc = np.where(better, dphc, dphc2)
             mvc = np.where(better, mvc, mvc2)
             absFc = np.abs(Fc)
-        improved = (absFc < absF) & (cand.imag > 0) & ~done & ~stuck
-        settled = np.where(improved, at_floor, settled)
+        improved = ~idle if better.all() else (absFc < absF) & (cand.imag > 0) & ~idle
         zeta = np.where(improved, cand, zeta)
         F = np.where(improved, Fc, F)
         dph = np.where(improved, dphc, dph)
         mv = np.where(improved, mvc, mv)
         if track:
+            settled = np.where(improved, at_floor, settled)
             floor = np.where(improved, _rounding_floor(d.size, c, t, cand, mvc), floor)
         absF = np.abs(F)
         stuck = stuck | (~improved & ~done)
@@ -589,60 +594,64 @@ def _support(d, c, t, edge):
     return np.column_stack((left, right, x_c, np.append(close[2], edge.phi_second)))
 
 
-def _walk(d, c, t, E_right, x_c, phi2, E_desc, cfg):
-    """Rows (rho, residual, iterations) for E_desc, energies inside one
-    support component in descending order, walked down from its right edge
-    E_right in blocks.
+def _walk(d, c, t, start, E, count, cfg):
+    """Walk tracks of energies on the branch Im zeta > 0 of Phi(zeta) = E by
+    the module docstring's rules, one _newton_level call a round.
 
-    Each block is seeded from the last accepted point, by the edge
-    expansion x_c + i sqrt(2 kappa / Phi'') while the walk sits at the
-    edge and by the predictor zeta - (E_cur - E) / Phi' after that, and
-    solved by one _newton_level call within cfg.max_iterations steps.  The
-    walk accepts the longest prefix whose points meet |Phi - E| <= tol with
-    Im zeta > 0 inside the disc around their seed that reaches down to the
-    real axis: the atoms and the real roots of Phi(x) = E lie on the axis,
-    and Newton from a seed that overshot ends near them, off the branch
-    the walk follows.  The block doubles after a full success.  After a
-    failure the walk takes one point at a time, halving the step through
-    intermediate energies while that point fails; the first energy left
-    when the step falls below the floor raises SolverError.  Next to the
-    rows it returns each point's accepted zeta, Phi(zeta) - E and Phi'.
+    Track k starts from start = (E_0, zeta_0, s_0)[k], a support edge with
+    zeta_0 = x_c real and s_0 = Phi''(x_c) or an accepted point with
+    s_0 = Phi', and walks the next count[k] energies of E in their order,
+    either way.  _atom_sums sums a lone point pairwise and a batch row by
+    row, so a track from an edge takes each one-point block in a round of
+    its own, as a walk of one component always did, and one point of any
+    other track alone in a round is solved next to a copy: no point's bits
+    depend on the other tracks while a batch fits one atom-sum block.
+    SolverError carries its track as `track`.  Returns the rows
+    (zeta, Phi - E, Phi', m_v) at E and each point's Newton steps, with
+    those of its track's failed attempts and intermediate energies since.
     """
-    tol = cfg.tolerance
-    floor = _WALK_FLOOR * max(1.0, E_right)
-    E_cur, zeta, slope = E_right, None, None
-    n = E_desc.shape[0]
-    out, at = np.zeros((3, n)), np.zeros((3, n), dtype=complex)
-    i, size, h, pending = 0, 1, np.inf, 0
-    while i < n:
-        gap = E_cur - E_desc[i]
-        # h is finite only while the walk recovers from a failure
-        E_blk = np.array([E_cur - h]) if gap > h else E_desc[i : i + size]
-        if slope is None:
-            seed = x_c + 1j * np.sqrt(2.0 * (E_right - E_blk) / phi2)
+    E_cur, zeta, slope = np.array(start[0], dtype=float), np.array(start[1], dtype=complex), np.array(start[2], dtype=complex)
+    pos, size, h, pending = (end := count.cumsum()) - count, np.ones(end.size, dtype=int), np.full(end.size, np.inf), np.zeros(end.size, dtype=int)
+    at, steps = np.zeros((4, E.size + 1), dtype=complex), np.zeros(E.size + 1, dtype=int)  # column E.size: copies
+    tol, from_edge = cfg.tolerance, zeta.imag == 0.0  # such a track takes each one-point block in a round of its own
+    while (live := (pos < end).nonzero()[0]).size:
+        P, E0, hl = pos[live], E_cur[live], h[live]
+        gap = E0 - E[P]
+        mid = np.abs(gap) > hl  # h is finite only while a track recovers from a failure
+        n = np.minimum(size[live], end[live] - P)
+        n[mid] = 1
+        if solo := np.count_nonzero(one := from_edge[live] & (n == 1)) > 0:
+            live, P, E0, hl, gap, mid, n = (a[one.argmax()][None] for a in (live, P, E0, hl, gap, mid, n))
+        first, last = (cs := n.cumsum()) - n, cs - 1
+        k, row = (live, P) if last[-1] < n.size else (live.repeat(n), np.arange(last[-1] + 1) + (P - first).repeat(n))
+        E_b = E[row]
+        if np.count_nonzero(mid):
+            E_b[first[mid]] = (E0 - np.copysign(hl, gap))[mid]
+        dE = E_cur[k] - E_b
+        seed = zeta[k] + 1j * np.sqrt(2.0 * dE / slope[k].real) if solo and zeta[k[0]].imag == 0.0 else zeta[k] - dE / slope[k]
+        if (w := row.size) == 1 and not solo:
+            w, row, E_b, seed = 2, np.concatenate((row, [E.size])), E_b.repeat(2), seed.repeat(2)
+        zeta_b, used, F, dph, mv = _newton_level(d, c, t, E_b, seed, tol, cfg.max_iterations)
+        ok = (np.abs(F) <= tol) & (zeta_b.imag > 0) & (np.abs(zeta_b - seed) <= seed.imag)
+        if np.count_nonzero(ok) == w and not np.count_nonzero(mid):  # every block accepted whole
+            E_cur[live], zeta[live], slope[live] = E_b[last], zeta_b[last], dph[last]
+            used[first] += pending[live]
+            pending[live], size[live], h[live], pos[live] = 0, 2 * n, np.inf, P + n
         else:
-            seed = zeta - (E_cur - E_blk) / slope
-        zeta_b, used, F, dph, mv = _newton_level(d, c, t, E_blk, seed, tol, cfg.max_iterations)
-        residual = np.abs(F)
-        ok = (residual <= tol) & (zeta_b.imag > 0) & (np.abs(zeta_b - seed) <= seed.imag)
-        k = E_blk.shape[0] if ok.all() else int(np.argmin(ok))
-        if k == 0:
-            pending += used[0]
-            h, size = 0.5 * min(gap, h), 1
-            if h < floor:
-                raise SolverError(f"density walk stage: no root reached at E={E_desc[i]:.17g}")
-            continue
-        E_cur, zeta, slope = E_blk[k - 1], zeta_b[k - 1], dph[k - 1]
-        if gap > h:
-            pending += used[0]
-            h *= 2.0
-            continue
-        used[0] += pending
-        out[:, i : i + k] = (mv[:k] / (1.0 - c * t * mv[:k])).imag / np.pi, residual[:k], used[:k]
-        at[:, i : i + k] = zeta_b[:k], F[:k], dph[:k]
-        i, h, pending = i + k, np.inf, 0
-        size = 2 * size if k == E_blk.shape[0] else 1
-    return out, at
+            acc = np.minimum(np.minimum.reduceat(np.where(ok, w, np.arange(w)), first) - first, n)
+            hit, j = (took := acc > 0) & ~mid, (first + acc - 1)[took]
+            E_cur[live[took]], zeta[live[took]], slope[live[took]] = E_b[j], zeta_b[j], dph[j]
+            pending[live] += used[first]  # failed attempts and intermediate energies count toward the next point
+            used[first[hit]], pending[live[hit]] = pending[live[hit]], 0
+            h[live] = np.where(hit, np.inf, np.where(took, 2.0 * hl, 0.5 * np.minimum(np.abs(gap), hl)))
+            if np.count_nonzero(stop := h[live] < _WALK_FLOOR * np.maximum(1.0, np.abs(E_cur[live]))):
+                exc = SolverError(f"density walk stage: no root reached at E={E[P[stop.argmax()]]:.17g}")
+                exc.track = int(live[stop.argmax()])
+                raise exc
+            size[live] = np.where(hit & (acc == n), 2 * size[live], 1)
+            pos[live] = P + np.where(hit, acc, 0)
+        at[0, row], at[1, row], at[2, row], at[3, row], steps[row] = zeta_b, F, dph, mv, used  # rewritten once accepted
+    return at[:, :-1], steps[:-1]
 
 
 def _right_mass(d, c, t, zeta):
@@ -668,7 +677,7 @@ def _right_mass(d, c, t, zeta):
         arg[lo : lo + stride] = np.arctan2(-z.imag, d - z.real).sum(axis=1) / p  # Im log(d - zeta)
         mv[lo : lo + stride] = (1.0 / (d - z)).sum(axis=1) / p
     g = 1.0 - c * t * mv
-    im_L = arg + (c * t * zeta * mv * mv - (1.0 - c) * t * mv).imag - (1.0 - c) / c * np.angle(g)
+    im_L = arg + (c * t * zeta * mv * mv - (1.0 - c) * t * mv).imag - (1.0 - c) / c * np.arctan2(g.imag, g.real)
     return 1.0 + im_L / np.pi, mv / g
 
 
@@ -676,10 +685,8 @@ def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfi
     """(rho, diagnostics) on an E-array for t > 0: per point residual and
     iteration count.
 
-    Points inside a support component, walked down from its right edge,
-    report the residual |Phi(zeta) - E| and, as iterations, the Newton
-    steps of the attempt that accepted them plus those of the failed
-    attempts and intermediate energies since the previous accepted point;
+    One _walk takes every component down from its right edge.  A point
+    inside one reports |Phi(zeta) - E| and the Newton steps _walk counts;
     points outside every component (E <= 0, gaps, E >= lambda_plus) read
     0 throughout.  t = 0: ValueError.
     """
@@ -688,11 +695,13 @@ def density_diagnostics(spec: Spectrum, params: ModelParams, E, cfg: SolverConfi
     cfg = cfg or SolverConfig()
     E = np.asarray(E, dtype=float).ravel()
     d, c, t = spec.values, params.c_n, params.t
+    comps = _support(d, c, t, find_right_edge(spec, params))
+    k = np.searchsorted(comps[:, 1], E, side="right")
+    inside = np.flatnonzero(E > np.append(comps[:, 0], np.inf)[k])
+    order = inside[np.lexsort((-E[inside], k[inside]))]  # by component, descending in each
+    at, steps = _walk(d, c, t, comps[:, 1:].T, E[order], np.bincount(k[inside], minlength=len(comps)), cfg)
     rows = np.zeros((3, E.shape[0]))  # rho, residual, iterations
-    for left, right, x_c, phi2 in _support(d, c, t, find_right_edge(spec, params)):
-        inside = np.flatnonzero((E > left) & (E < right))
-        order = inside[np.argsort(-E[inside], kind="stable")]
-        rows[:, order] = _walk(d, c, t, right, x_c, phi2, E[order], cfg)[0]
+    rows[:, order] = (at[3] / (1.0 - c * t * at[3])).imag / np.pi, np.abs(at[1]), steps
     return rows[0], {"residual": rows[1], "iterations": rows[2].astype(int)}
 
 

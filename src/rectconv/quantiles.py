@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edge import _ROOT_XTOL, EdgeData, _bracketed_newton
-from .freeconv import SolverConfig, SolverError, _newton_level, _right_mass, _support, _walk
+from .freeconv import SolverConfig, SolverError, _right_mass, _support, _walk
 from .spectrum import ModelParams, Spectrum
 
 __all__ = [
@@ -42,15 +42,12 @@ class QuantileTable:
 def _locations(spec, params, edge, targets, cfg):
     """(locations with right mass `targets`, in target order; quad_error).
 
-    Each component [l, r] holding a target strictly inside is walked once on
-    _WALK_NODES nodes, whose R brackets every target there; each is then the
-    root of R - tau by _bracketed_newton in theta, E = l + (r-l) cos^2(theta/2),
-    slope rho (r-l) sin(theta) / 2.  An evaluation is one _newton_level call,
-    each point seeded by the tangent step from its last accepted zeta and
-    accepted by _walk's rule or else walked from the right edge, with R read
-    at the Newton point zeta - (Phi - E) / Phi'.  A lone live target is padded
-    with its last accepted point, as _atom_sums sums a batch of one pairwise,
-    so no root depends on the other targets while the batch fits one block.
+    One _walk takes each component [l, r] that holds a target strictly
+    inside from its right edge over _WALK_NODES nodes, whose R brackets
+    every target there; each is then the root of R - tau by _bracketed_newton
+    in theta, E = l + (r-l) cos^2(theta/2), slope rho (r-l) sin(theta) / 2.
+    An evaluation is one _walk call, a track per live target from its last
+    accepted point, with R read at the Newton point zeta - (Phi - E) / Phi'.
     """
     if params.t <= 0:
         raise ValueError("classical locations need t > 0")
@@ -58,7 +55,7 @@ def _locations(spec, params, edge, targets, cfg):
     if targets.size == 0 or targets.min() < 0 or targets.max() >= 1:
         raise ValueError("right-mass targets must lie in [0, 1)")
 
-    d, c, t, tol, p = spec.values, params.c_n, params.t, cfg.tolerance, spec.p
+    d, c, t, p = spec.values, params.c_n, params.t, spec.p
     rows = _support(d, c, t, edge)[::-1]  # (l, r, x_c, Phi''(x_c)), top first
     left_mass = np.append((p - np.searchsorted(d[::-1], rows[1:, 2], side="right")) / p, 1.0)
     k = np.searchsorted(left_mass, targets)
@@ -69,39 +66,32 @@ def _locations(spec, params, edge, targets, cfg):
     tau, comp = targets[inner], k[inner]
     left, width, every = rows[comp, 0], rows[comp, 1] - rows[comp, 0], np.arange(tau.size)
 
-    def walk(i, E):  # (zeta, Phi - E, Phi') at energies E of target i's component
+    def walk(start, E, count, who):  # rows (zeta, Phi - E, Phi', m_v) at E for targets who
         try:
-            return _walk(d, c, t, *rows[comp[i], 1:], E, cfg)[1]
+            return _walk(d, c, t, start, E, count, cfg)[0]
         except SolverError as exc:  # its message names the energy
-            raise SolverError(
-                f"classical locations: component {comp[i]} from the top, target {tau[i]:.12g}: {exc}"
-            ) from None
+            i = who[exc.track]
+            raise SolverError(f"classical locations: component {comp[i]} from the top, target {tau[i]:.12g}: {exc}") from None
 
     theta = np.pi * np.arange(_WALK_NODES + 2) / (_WALK_NODES + 1)
     E = left[:, None] + width[:, None] * np.cos(0.5 * theta[1:-1]) ** 2
     _, first, which = np.unique(comp, return_index=True, return_inverse=True)
-    at = np.stack([walk(i, E[i]) for i in first], axis=1)  # (3, components, nodes)
+    at = walk(rows[comp[first], 1:].T, E[first].ravel(), np.full(first.size, _WALK_NODES), first).reshape(4, first.size, -1)
     R, m = (v.reshape(at.shape[1:])[which] for v in _right_mass(d, c, t, (at[0] - at[1] / at[2]).ravel()))
     at = at[:, which]
     R = np.column_stack((np.append(0.0, left_mass)[comp], R, left_mass[comp]))
     j = np.count_nonzero(R < tau[:, None], axis=1) - 1  # R[j] < tau <= R[j + 1]
-    err = tau - R[every, j] + np.pad(np.abs(m * at[1]) / np.pi, ((0, 0), (1, 1)))[every, j]
-    node = np.clip(j, 1, _WALK_NODES) - 1
-    E_last, last = E[every, node], at[:, every, node]
+    err = tau - R[every, j] + np.where(j > 0, np.abs(m * at[1])[every, j - 1] / np.pi, 0.0)
+    node = np.maximum(j, 1) - 1
+    E_last, zeta_last, slope_last, one = E[every, node], at[0, every, node], at[2, every, node], np.ones_like(every)
 
     def mass(theta, i):
-        E, n = left[i] + width[i] * np.cos(0.5 * theta) ** 2, i.size
-        seed = last[0, i] - (E_last[i] - E) / last[2, i]
-        if n == 1:
-            E, seed = np.append(E, E_last[i]), np.append(seed, last[0, i])
-        zeta, _, F, dph, _ = _newton_level(d, c, t, E, seed, tol, cfg.max_iterations)
-        ok = (np.abs(F) <= tol) & (zeta.imag > 0) & (np.abs(zeta - seed) <= seed.imag)
-        for h in np.flatnonzero(~ok[:n]):
-            zeta[h], F[h], dph[h] = walk(i[h], E[h : h + 1])[:, 0]
-        R, m = _right_mass(d, c, t, zeta[:n] - F[:n] / dph[:n])
-        E_last[i], last[:, i] = E[:n], (zeta[:n], F[:n], dph[:n])
+        E = left[i] + width[i] * np.cos(0.5 * theta) ** 2
+        zeta, F, dph, _ = walk((E_last[i], zeta_last[i], slope_last[i]), E, one[: i.size], i)
+        R, m = _right_mass(d, c, t, zeta - F / dph)
+        E_last[i], zeta_last[i], slope_last[i] = E, zeta, dph
         f = R - tau[i]
-        err[i] = np.where(f < 0.0, np.abs(f) + np.abs(m * F[:n]) / np.pi, err[i])
+        err[i] = np.where(f < 0.0, np.abs(f) + np.abs(m * F) / np.pi, err[i])
         return f, m.imag / np.pi * 0.5 * width[i] * np.sin(theta), f < 0.0
 
     x[inner] = left + width * np.cos(0.5 * _bracketed_newton(mass, theta[j], theta[j + 1], _ROOT_XTOL, every)) ** 2

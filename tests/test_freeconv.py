@@ -455,6 +455,32 @@ def test_density_walk_keeps_its_branch_near_the_atoms():
     npt.assert_allclose(rho[inside], _ladder_density(spec, params, E[inside]), rtol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "spec,params,components",
+    [
+        (make_spectrum([2.0] * 20 + [0.5] * 20), ModelParams(p=40, n=400, t=0.05), 2),
+        (make_spectrum(np.linspace(0.0, 5.0, 59)), ModelParams(p=59, n=118, t=0.03), 18),
+        (canonical_sqrt_spectrum(200, 1.0), ModelParams(p=200, n=400, t=1.0 / 400), 35),
+    ],
+    ids=["gapped", "59_atoms", "small_t"],
+)
+def test_density_components_walk_alone_as_together(spec, params, components):
+    # one walk takes every component at once, and each component's rows are
+    # the ones it gets when its energies are asked for alone, bit for bit
+    lam = find_right_edge(spec, params).lambda_plus
+    intervals = support_scan(spec, params, 0.0, lam, 1e-3).intervals
+    assert len(intervals) == components
+    # a grid, and seven points inside each component however narrow
+    E = np.sort(np.concatenate([np.linspace(0.0, lam, 401)[1:-1]] + [np.linspace(a, b, 9)[1:-1] for a, b in intervals]))
+    rho, diag = density_diagnostics(spec, params, E)
+    for a, b in intervals:
+        inside = (E > a) & (E < b)
+        alone, alone_diag = density_diagnostics(spec, params, E[inside])
+        assert inside.any() and alone.tobytes() == rho[inside].tobytes()
+        assert alone_diag["residual"].tobytes() == diag["residual"][inside].tobytes()
+        assert np.array_equal(alone_diag["iterations"], diag["iterations"][inside])
+
+
 def test_density_nonnegative_above_edge(canonical_small):
     spec, params = canonical_small
     edge = find_right_edge(spec, params)

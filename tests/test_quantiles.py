@@ -123,7 +123,7 @@ def test_right_mass_against_quadrature():
     d, c, t = spec.values, params.c_n, params.t
     for left, right, x_c, phi2 in freeconv._support(d, c, t, find_right_edge(spec, params)):
         E = left + (right - left) * np.array([0.9, 0.4, 0.05])
-        at = freeconv._walk(d, c, t, right, x_c, phi2, E, SolverConfig())[1]
+        at = freeconv._walk(d, c, t, ([right], [x_c], [phi2]), E, np.array([3]), SolverConfig())[0]
         R, _ = freeconv._right_mass(d, c, t, at[0] - at[1] / at[2])
         for e, r in zip(E, R):
             assert abs(r - _right_mass(spec, params, e)) < 1e-10
@@ -148,20 +148,50 @@ def test_small_t_masses_are_atom_counts():
 
 def test_small_t_locations_work(monkeypatch):
     # points through the walk's Newton: the Chebyshev-panel quadrature's
-    # density walks took 36,893 on this fixture
+    # density walks took 36,893 on this fixture.  Newton calls: an
+    # evaluation that restarted a failed target's walk from its component's
+    # right edge made 438 here, where every target now goes on from its own
+    # last accepted point
     spec, params = _small_t()
     edge = find_right_edge(spec, params)
-    columns = [0]
+    calls, columns = [0], [0]
     real = freeconv._newton_level
 
     def counting(d, c, t, z_l, zeta, tol, max_iter):
+        calls[0] += 1
         columns[0] += zeta.shape[0]
         return real(d, c, t, z_l, zeta, tol, max_iter)
 
     monkeypatch.setattr(freeconv, "_newton_level", counting)
-    monkeypatch.setattr(quantiles, "_newton_level", counting, raising=False)
     classical_locations(spec, params, 20, edge)
     assert columns[0] < 36_893 // 10
+    assert calls[0] < 438 // 4
+
+
+def test_evaluation_failure_names_its_component_and_target(monkeypatch):
+    # the node walk succeeds; then every solve in the lower component
+    # fails, so the walk of the first bracketed-Newton evaluation there
+    # raises, naming that component and its target, not the top one's
+    spec, params = _gapped()
+    edge = find_right_edge(spec, params)
+    gap = freeconv._support(spec.values, params.c_n, params.t, edge)[0, 1]  # the lower component's right edge
+    real_newton, real_bracketed = freeconv._newton_level, quantiles._bracketed_newton
+    armed = []
+
+    def bracketed(*args):
+        armed.append(True)
+        return real_bracketed(*args)
+
+    def newton(d, c, t, z_l, zeta, tol, max_iter):
+        zeta, used, F, dph, mv = real_newton(d, c, t, z_l, zeta, tol, max_iter)
+        return zeta, used, np.where(bool(armed) & (z_l.real < gap), 1.0, F), dph, mv
+
+    monkeypatch.setattr(freeconv, "_newton_level", newton)
+    monkeypatch.setattr(quantiles, "_bracketed_newton", bracketed)
+    message = r"classical locations: component 1 from the top, target 0.75: density walk stage: no root reached at E=0\.[0-9]"
+    with pytest.raises(SolverError, match=message):
+        quantiles._locations(spec, params, edge, [0.25, 0.75], SolverConfig())
+    assert armed
 
 
 def test_classical_locations_validates_args(canonical_small):

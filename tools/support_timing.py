@@ -25,9 +25,9 @@ every fixture or case whose rows differ, with the largest difference in
 units in the last place.
 
 --locations instead times classical_locations(j_max = 20) on p = 200, 1000
-and 2000 at the same three t, and prints the points one call passes
-through freeconv._newton_level (its columns) and the median wall time of
---repeats warm calls.
+and 2000 at the same three t, and prints the freeconv._newton_level calls
+one call makes, the points it passes through them (its columns) and the
+median wall time of --repeats warm calls.
 """
 
 from __future__ import annotations
@@ -116,11 +116,12 @@ def timing(repeats):
 
 
 def locations(repeats):
-    print(f"{'p':>5} {'t':>9} {'columns':>9} {'ms':>10}")
+    print(f"{'p':>5} {'t':>9} {'calls':>7} {'columns':>9} {'ms':>10}")
     real = freeconv._newton_level
-    columns = [0]
+    calls, columns = [0], [0]
 
     def newton(d, c, t, z_l, zeta, tol, max_iter):
+        calls[0] += 1
         columns[0] += zeta.shape[0]
         return real(d, c, t, z_l, zeta, tol, max_iter)
 
@@ -130,7 +131,7 @@ def locations(repeats):
         for label, power in TIMED_T:
             spec, params = fixture(p, power)
             edge = find_right_edge(spec, params)
-            columns[0] = 0
+            calls[0] = columns[0] = 0
             for module in patched:
                 module._newton_level = newton
             try:
@@ -143,7 +144,7 @@ def locations(repeats):
                 t0 = time.perf_counter()
                 classical_locations(spec, params, 20, edge)
                 times.append(time.perf_counter() - t0)
-            print(f"{p:>5} {label:>9} {columns[0]:>9,} {1e3 * np.median(times):>10.1f}", flush=True)
+            print(f"{p:>5} {label:>9} {calls[0]:>7,} {columns[0]:>9,} {1e3 * np.median(times):>10.1f}", flush=True)
 
 
 def save_rows(path):
