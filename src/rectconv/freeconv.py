@@ -562,8 +562,6 @@ def _support(d, c, t, edge):
     # below L = a_0 - y, m_v <= 1/y and m_v' <= 1/y^2 give g >= 0.9 and Phi' >= 0.6
     L = a[0] - max(10.0 * t, np.sqrt(10.0 * a[0] * t))
     keep = _gaps_may_open(a, c, t, d.size)
-    # the lowest interval's zero of g in the same batch as the kept ones': a
-    # batch of one point has other low bits (_atom_sums sums it pairwise)
     lo_g = np.append(a[0] - 2.0 * c * t, a[:-1][keep])
     x_g = _bracketed_newton(on_g, lo_g, np.append(a[0], a[1:][keep]), _ROOT_XTOL)
 
@@ -601,39 +599,35 @@ def _walk(d, c, t, start, E, count, cfg):
     Track k starts from start = (E_0, zeta_0, s_0)[k], a support edge with
     zeta_0 = x_c real and s_0 = Phi''(x_c) or an accepted point with
     s_0 = Phi', and walks the next count[k] energies of E in their order,
-    either way.  _atom_sums sums a lone point pairwise and a batch row by
-    row, so a track from an edge takes each one-point block in a round of
-    its own, as a walk of one component always did, and one point of any
-    other track alone in a round is solved next to a copy: no point's bits
-    depend on the other tracks while a batch fits one atom-sum block.
-    SolverError carries its track as `track`.  Returns the rows
-    (zeta, Phi - E, Phi', m_v) at E and each point's Newton steps, with
-    those of its track's failed attempts and intermediate energies since.
+    either way.  A point whose track's zeta is still real takes the edge
+    expansion seed, any other the tangent seed.  _atom_sums gives every
+    point the bits it gets alone, so no point's result depends on the
+    other tracks.  SolverError carries its track as `track`.  Returns the
+    rows (zeta, Phi - E, Phi', m_v) at E and each point's Newton steps,
+    with those of its track's failed attempts and intermediate energies
+    since.
     """
     E_cur, zeta, slope = np.array(start[0], dtype=float), np.array(start[1], dtype=complex), np.array(start[2], dtype=complex)
     pos, size, h, pending = (end := count.cumsum()) - count, np.ones(end.size, dtype=int), np.full(end.size, np.inf), np.zeros(end.size, dtype=int)
-    at, steps = np.zeros((4, E.size + 1), dtype=complex), np.zeros(E.size + 1, dtype=int)  # column E.size: copies
-    tol, from_edge = cfg.tolerance, zeta.imag == 0.0  # such a track takes each one-point block in a round of its own
+    at, steps, tol = np.zeros((4, E.size), dtype=complex), np.zeros(E.size, dtype=int), cfg.tolerance
     while (live := (pos < end).nonzero()[0]).size:
         P, E0, hl = pos[live], E_cur[live], h[live]
         gap = E0 - E[P]
         mid = np.abs(gap) > hl  # h is finite only while a track recovers from a failure
         n = np.minimum(size[live], end[live] - P)
         n[mid] = 1
-        if solo := np.count_nonzero(one := from_edge[live] & (n == 1)) > 0:
-            live, P, E0, hl, gap, mid, n = (a[one.argmax()][None] for a in (live, P, E0, hl, gap, mid, n))
         first, last = (cs := n.cumsum()) - n, cs - 1
         k, row = (live, P) if last[-1] < n.size else (live.repeat(n), np.arange(last[-1] + 1) + (P - first).repeat(n))
         E_b = E[row]
         if np.count_nonzero(mid):
             E_b[first[mid]] = (E0 - np.copysign(hl, gap))[mid]
-        dE = E_cur[k] - E_b
-        seed = zeta[k] + 1j * np.sqrt(2.0 * dE / slope[k].real) if solo and zeta[k[0]].imag == 0.0 else zeta[k] - dE / slope[k]
-        if (w := row.size) == 1 and not solo:
-            w, row, E_b, seed = 2, np.concatenate((row, [E.size])), E_b.repeat(2), seed.repeat(2)
+        dE, zeta_k, slope_k = E_cur[k] - E_b, zeta[k], slope[k]
+        seed = zeta_k - dE / slope_k
+        if np.count_nonzero(edge := zeta_k.imag == 0.0):
+            seed[edge] = zeta_k[edge] + 1j * np.sqrt(2.0 * dE[edge] / slope_k[edge].real)
         zeta_b, used, F, dph, mv = _newton_level(d, c, t, E_b, seed, tol, cfg.max_iterations)
         ok = (np.abs(F) <= tol) & (zeta_b.imag > 0) & (np.abs(zeta_b - seed) <= seed.imag)
-        if np.count_nonzero(ok) == w and not np.count_nonzero(mid):  # every block accepted whole
+        if np.count_nonzero(ok) == (w := row.size) and not np.count_nonzero(mid):  # every block accepted whole
             E_cur[live], zeta[live], slope[live] = E_b[last], zeta_b[last], dph[last]
             used[first] += pending[live]
             pending[live], size[live], h[live], pos[live] = 0, 2 * n, np.inf, P + n
@@ -651,7 +645,7 @@ def _walk(d, c, t, start, E, count, cfg):
             size[live] = np.where(hit & (acc == n), 2 * size[live], 1)
             pos[live] = P + np.where(hit, acc, 0)
         at[0, row], at[1, row], at[2, row], at[3, row], steps[row] = zeta_b, F, dph, mv, used  # rewritten once accepted
-    return at[:, :-1], steps[:-1]
+    return at, steps
 
 
 def _right_mass(d, c, t, zeta):
@@ -666,16 +660,16 @@ def _right_mass(d, c, t, zeta):
     continuous by Im(d - zeta) < 0 and Im g < 0).  Above lambda_plus each
     log(d_i - zeta) has argument -pi and g > 0, so R = 0 fixes the constant;
     at a real critical point x_c with g > 0 the same limit gives
-    R = #{d_i > x_c}/p.  Each point's sums run along its row of atoms, which
-    numpy sums pairwise: O(log p) roundings, whatever the batch.
+    R = #{d_i > x_c}/p.  m_v comes from _atom_sums, and the arguments are
+    summed the same way, each point along its own row of atoms: O(log p)
+    roundings, whatever the batch.
     """
     p = d.shape[0]
-    arg, mv = np.empty(zeta.shape[0]), np.empty(zeta.shape[0], dtype=complex)
+    arg, mv = np.empty(zeta.shape[0]), _atom_sums(d, zeta, 0)[0]
     stride = max(1, _CHUNK // p)
     for lo in range(0, zeta.shape[0], stride):
         z = zeta[lo : lo + stride, None]
         arg[lo : lo + stride] = np.arctan2(-z.imag, d - z.real).sum(axis=1) / p  # Im log(d - zeta)
-        mv[lo : lo + stride] = (1.0 / (d - z)).sum(axis=1) / p
     g = 1.0 - c * t * mv
     im_L = arg + (c * t * zeta * mv * mv - (1.0 - c) * t * mv).imag - (1.0 - c) / c * np.arctan2(g.imag, g.real)
     return 1.0 + im_L / np.pi, mv / g

@@ -2,8 +2,8 @@
 
 Everything here is a direct O(p) sum over atoms, written once in
 `_atom_sums`; `_phi` builds the inverse subordination map and its
-derivatives on top of it.  Callers that need many evaluation points pass
-an array and the kernel chunks over them.
+derivatives on top of it.  Callers pass arrays of evaluation points, and
+each point gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .spectrum import Spectrum
 __all__ = ["AtomCollisionError", "m_v", "m_v_derivative"]
 
 _GUARD = 1e-14
-# Elements of one (atoms x points) block in _atom_sums: 128 KiB real,
+# Elements of one (points x atoms) block in _atom_sums: 128 KiB real,
 # 256 KiB complex.  Blocks this small stay in cache and are mostly reused
 # from malloc's heap; blocks of megabytes are mapped afresh and
 # page-faulted in on every call.
@@ -44,20 +44,21 @@ def _atom_sums(d: np.ndarray, zeta: np.ndarray, order: int) -> np.ndarray:
 
     zeta is 1-d; the result has its dtype (real on the ray zeta > max(d),
     complex off the axis).  No atom-collision guard.  Powers are formed by
-    products, and the sum over atoms is chunked over the points.
+    products on chunks of (points, atoms) blocks, and each point sums its
+    own row, which numpy sums pairwise: O(log p) roundings, and the same
+    bits whatever the batch width or chunking.
     """
-    k = zeta.shape[0]
-    p = d.shape[0]
+    k, p = zeta.shape[0], d.shape[0]
     out = np.empty((order + 1, k), dtype=np.result_type(zeta, float))
     stride = max(1, _CHUNK // p)
     for lo in range(0, k, stride):
-        inv = 1.0 / (d[:, None] - zeta[None, lo : lo + stride])
+        inv = 1.0 / (d[None, :] - zeta[lo : lo + stride, None])
         power = inv
         for j in range(order + 1):
             if j:
                 power = power * inv
             # sum / count is the arithmetic of mean(), without its per-call overhead
-            out[j, lo : lo + stride] = power.sum(axis=0) / p
+            out[j, lo : lo + stride] = power.sum(axis=1) / p
     return out
 
 

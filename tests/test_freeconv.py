@@ -195,6 +195,14 @@ def _theory_grid():
     return spec, params, (lam * np.linspace(0.02, 1.2, 16)[:, None] + 1j * etas[None, :]).ravel()
 
 
+def test_hybrid_batch_matches_points_alone():
+    # the hybrid route gives every point of the grid the bits it gets alone
+    spec, params, z = _theory_grid()
+    for pt in solve_many(spec, params, z):
+        alone = solve_point(spec, params, pt.z)
+        assert (pt.m, pt.zeta, pt.residual, pt.iterations) == (alone.m, alone.zeta, alone.residual, alone.iterations)
+
+
 def test_fixed_point_route_work_and_agreement(monkeypatch):
     # the levels above the last only seed the next one, stop at a loose
     # update and skip the points whose z_l did not move: 1,426 columns on
@@ -455,23 +463,31 @@ def test_density_walk_keeps_its_branch_near_the_atoms():
     npt.assert_allclose(rho[inside], _ladder_density(spec, params, E[inside]), rtol=1e-6)
 
 
+def _walk_grid(spec, params):
+    # a grid, and seven points inside each component however narrow
+    lam = find_right_edge(spec, params).lambda_plus
+    intervals = support_scan(spec, params, 0.0, lam, 1e-3).intervals
+    E = np.sort(np.concatenate([np.linspace(0.0, lam, 401)[1:-1]] + [np.linspace(a, b, 9)[1:-1] for a, b in intervals]))
+    return E, intervals
+
+
 @pytest.mark.parametrize(
     "spec,params,components",
     [
         (make_spectrum([2.0] * 20 + [0.5] * 20), ModelParams(p=40, n=400, t=0.05), 2),
         (make_spectrum(np.linspace(0.0, 5.0, 59)), ModelParams(p=59, n=118, t=0.03), 18),
         (canonical_sqrt_spectrum(200, 1.0), ModelParams(p=200, n=400, t=1.0 / 400), 35),
+        # a round's batch spans several atom-sum blocks (8 points at p = 2,000),
+        # and some rounds leave one point alone in their last block
+        (make_spectrum([2.0] * 1000 + [0.5] * 1000), ModelParams(p=2000, n=20_000, t=0.1), 2),
     ],
-    ids=["gapped", "59_atoms", "small_t"],
+    ids=["gapped", "59_atoms", "small_t", "gapped_p2000"],
 )
 def test_density_components_walk_alone_as_together(spec, params, components):
     # one walk takes every component at once, and each component's rows are
     # the ones it gets when its energies are asked for alone, bit for bit
-    lam = find_right_edge(spec, params).lambda_plus
-    intervals = support_scan(spec, params, 0.0, lam, 1e-3).intervals
+    E, intervals = _walk_grid(spec, params)
     assert len(intervals) == components
-    # a grid, and seven points inside each component however narrow
-    E = np.sort(np.concatenate([np.linspace(0.0, lam, 401)[1:-1]] + [np.linspace(a, b, 9)[1:-1] for a, b in intervals]))
     rho, diag = density_diagnostics(spec, params, E)
     for a, b in intervals:
         inside = (E > a) & (E < b)
@@ -479,6 +495,24 @@ def test_density_components_walk_alone_as_together(spec, params, components):
         assert inside.any() and alone.tobytes() == rho[inside].tobytes()
         assert alone_diag["residual"].tobytes() == diag["residual"][inside].tobytes()
         assert np.array_equal(alone_diag["iterations"], diag["iterations"][inside])
+
+
+def test_density_walk_rounds(monkeypatch):
+    # every track's blocks share each round's Newton call, a track at its
+    # edge included: 113 calls for the 35 components of the small-t fixture
+    # (170 when each one-point block from an edge took a call of its own)
+    spec, params = canonical_sqrt_spectrum(200, 1.0), ModelParams(p=200, n=400, t=1.0 / 400)
+    E, _ = _walk_grid(spec, params)
+    calls = []
+    real_newton = freeconv._newton_level
+
+    def counting(*args):
+        calls.append(args[3].size)
+        return real_newton(*args)
+
+    monkeypatch.setattr(freeconv, "_newton_level", counting)
+    density_diagnostics(spec, params, E)
+    assert len(calls) <= 120 and sum(calls) == 801
 
 
 def test_density_nonnegative_above_edge(canonical_small):
