@@ -31,8 +31,11 @@ _BRACKET_FLOOR = 1e-14
 # Bracketed Newton (the edge, the support finder, the classical
 # locations): a point ends once the step or the bracket falls below
 # _ROOT_XTOL relative, and after _ROOT_STEPS evaluations at the latest.
+# A point whose f rounds to exactly 0 on the false side creeps one float
+# a step; after _CREEP_CAP such steps in a row it bisects instead.
 _ROOT_XTOL = 4.0 * np.finfo(float).eps
 _ROOT_STEPS = 100
+_CREEP_CAP = 8
 
 
 class EdgeBracketError(RuntimeError):
@@ -66,6 +69,8 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
     solves the equation by _bracketed_newton on Phi' inside the bracket,
     with Phi'' from the same atom-sum pass, and from the point it returns
     takes the Newton step when that step is below _ROOT_XTOL relative.
+    That point is the solve's last evaluation where Phi' < 0, so its pass
+    is reused, and the step is evaluated only where it moves the point.
 
     Phi'' > 0 on the ray: with y_i = zeta - d_i and means over the atoms,
     Phi'' = 4 c t g mean(d_i / y_i^3) + 2 zeta (c t mean(y_i^-2))^2
@@ -116,14 +121,20 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
         lo = d1 + width
     hi = d1 + width
 
+    held = [None, None]  # the last x with Phi' < 0 and its pass
+
     def on_slope(x):
-        _, s1, s2, _ = _phi(d, c, t, x, 2)
-        return s1, s2, s1 < 0.0
+        row = _phi(d, c, t, x, 2)
+        if row[1][0] < 0.0:
+            held[:] = x[0], row
+        return row[1], row[2], row[1] < 0.0
 
     zeta_plus = _bracketed_newton(on_slope, [lo], [hi], _ROOT_XTOL)[0]
-    lambda_plus, s1, phi_second, _ = _phi(d, c, t, zeta_plus, 2)
-    if abs(s1 / phi_second) <= _ROOT_XTOL * zeta_plus:
-        zeta_plus -= s1 / phi_second
+    row = held[1] if held[0] == zeta_plus else _phi(d, c, t, np.array([zeta_plus]), 2)
+    lambda_plus, s1, phi_second = (v[0] for v in row[:3])
+    step = s1 / phi_second
+    if abs(step) <= _ROOT_XTOL * zeta_plus and zeta_plus - step != zeta_plus:
+        zeta_plus -= step
         lambda_plus, _, phi_second, _ = _phi(d, c, t, zeta_plus, 2)
     if not (lambda_plus > d1 and phi_second > 0.0):
         raise EdgeBracketError(
@@ -144,23 +155,27 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
     )
 
 
-def _bracketed_newton(fun, lo, hi, xtol, *args):
+def _bracketed_newton(fun, lo, hi, xtol, *args, start=None):
     """Elementwise root in [lo, hi] by Newton kept inside the bracket.
 
     fun(x, *args) returns (f, f', holds) at the points x, where the test
     holds is true at lo and false at hi; each evaluation moves its side's
     end to x.  args are per-point arrays, passed for the live points only.
-    A step that leaves the bracket is replaced by bisection.  A point stops
-    once holds is true and its step is below xtol relative, or once its
-    bracket is that narrow; a small step from the false side is doubled,
-    to land past the root.  Returns each point's last x where holds is
-    true, so the bracket contracts of the callers stay true.
+    The first x is start, or the midpoint where start is None or outside
+    the open bracket.  A step that leaves the bracket is replaced by
+    bisection.  A point stops once holds is true and its step is below
+    xtol relative, or once its bracket is that narrow; a small step from
+    the false side is doubled, to land past the root.  A zero step there
+    moves one float, so more than _CREEP_CAP of them in a row (a plateau
+    where f rounds to 0) bisect.  Returns each point's last x where holds
+    is true, so the bracket contracts of the callers stay true.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     out = lo.copy()
-    # the live points' index, bracket and iterate
-    live = np.arange(lo.size)
-    x = 0.5 * (lo + hi)
+    # the live points' index, bracket and iterate, and their zero steps in
+    # a row (a scalar 0 after a round with none)
+    live, runs = np.arange(lo.size), 0
+    x = 0.5 * (lo + hi) if start is None else np.where((lo < start) & (start < hi), start, 0.5 * (lo + hi))
     for _ in range(_ROOT_STEPS):
         if live.size == 0:
             return out
@@ -175,10 +190,17 @@ def _bracketed_newton(fun, lo, hi, xtol, *args):
         live, lo, hi, x = live[keep], lo[keep], hi[keep], x[keep]
         args = tuple(a[keep] for a in args)
         step, small = step[keep], small[keep]
-        # a small step from the false side: twice the step, and one float
-        # more, toward the true side
-        x = np.where(small, np.nextafter(x - 2.0 * step, lo), x - step)
-        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        new, count = x - step, 0
+        if np.count_nonzero(small):
+            # a small step left is from the false side: twice the step, and
+            # one float more, toward the true side.  A zero step moves one
+            # float only, so a run of more than _CREEP_CAP of them bisects
+            new = np.where(small, np.nextafter(x - 2.0 * step, lo), new)
+            if np.count_nonzero(step == 0.0):
+                count = np.where(step == 0.0, 1 + (runs[keep] if np.ndim(runs) else 0), 0)
+                new = np.where(count > _CREEP_CAP, 0.5 * (lo + hi), new)
+        runs = count
+        x = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
     out[live] = lo
     return out
 

@@ -13,9 +13,12 @@ down to Im z, each level a quarter of the one above, and at each level
 z_l solves Phi(zeta) = z_l by Newton with backtracking, kept in
 Im zeta > 0.  It is predictor-corrector continuation: each level is
 seeded from the level above by the tangent step zeta + (z_l - z_prev)/Phi'
-(reflected into Im zeta > 0) and corrected by Newton; a point stops at
-its target or once it sits at the rounding floor of Phi.  The last
-level's residual |Phi(zeta) - z| is the solver's contract.  The ladder
+(reflected into Im zeta > 0) and corrected by Newton.  A level above the
+last only seeds the next one and stops at a loose residual; the last
+stops at a tighter one and is read at its Newton point
+zeta - (Phi - z)/Phi', whose residual |Phi(zeta) - z| is the solver's
+contract, and a point that misses it there is polished.  A point also
+stops once it sits at the rounding floor of Phi.  The ladder
 top starts from 30 fixed-point sweeps on m from m = -1/z: for large t
 that bare guess can have Re b <= 0 or lead Newton to a wrong root, and
 the sweeps reach the Re b > 0 branch.  The same sweeps, run at every
@@ -37,7 +40,7 @@ sign of g, Phi' or Phi'' sets.  One walk follows that branch for densities
 and classical locations: each track of energies starts at a support edge
 or an accepted point and takes doubling blocks, seeded from its last
 accepted point (by the expansion of Phi at the edge, then a linear
-predictor) and solved by the ladder's own Newton.  A root counts only
+predictor) and solved by the ladder's last-level Newton.  A root counts only
 inside the disc around its seed that reaches down to the real axis, where
 the atoms and the real roots of Phi = E lie; after a failure a track takes
 one point at a time and halves its step.  Energies outside every component
@@ -91,9 +94,13 @@ _START_SWEEPS = 30
 # The fixed-point sweeps' secant step may be at most this many times the
 # plain update f(m) - m long.
 _SECANT_REACH = 4.0
-# Fixed-point route: the update tolerance of its levels above the last,
-# which only seed the next level (the last runs to 0.01 cfg.tolerance).
-_FP_LEVEL_TOL = 1e-6
+# Levels above the last only seed the next level: there Newton stops at
+# this residual and the fixed-point sweeps at this update, both relative
+# (the last level runs the sweeps to 0.01 cfg.tolerance).  A final
+# Newton solve stops at _NEWTON_STOP relative and is read at its Newton
+# point, whose residual is about the square of that.
+_SEED_TOL = 1e-6
+_NEWTON_STOP = 1e-8
 # Fixed-point polish of the final level: calls of _fp_iterate always
 # made while the residual contract is unmet, and the most made at all.
 _POLISH_CALLS = 12
@@ -237,74 +244,102 @@ def _rounding_floor(p, c, t, zeta, mv):
     return _EPS * (np.abs(zeta) * ag * ag + (1.0 - c) * t * ag + dphi_dg * err_g)
 
 
+def _newton_point(d, c, t, z_l, zeta, F, dph):
+    """(zeta*, Phi - z_l, m_v) at the Newton point zeta* = zeta - F / Phi',
+    from one order-0 atom-sum pass: where |F| is small the residual there
+    is of order |Phi''| |F|^2 / |Phi'|^2."""
+    zeta = zeta - F / dph
+    ph, mv = _phi(d, c, t, zeta)
+    return zeta, ph - z_l, mv
+
+
 def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
     """Newton on Phi(zeta) = z_l for every point, with backtracking.
 
     z_l is a ladder level off the axis or an energy of the density walk.
-    A step is taken only where it lowers |Phi - z_l| and keeps Im zeta > 0,
-    and a point stops at |Phi - z_l| <= 0.1 tol min(1, |z_l|), or once two
-    iterates in a row have |Phi - z_l| at the rounding floor of Phi at
-    their zeta.  The floor is tracked only in calls where some point starts
-    with its target below it.  Returns the updated zeta, the per-point
-    iterations, and Phi - z_l, Phi' and m_v at that zeta; a point counts
-    the steps it entered neither converged nor stuck.
+    A step is taken only where it lowers |Phi - z_l| and keeps Im zeta > 0.
+    With tol None the level only seeds the next one, and a point stops at
+    |Phi - z_l| <= _SEED_TOL min(1, |z_l|).  Otherwise it stops at
+    _NEWTON_STOP min(1, |z_l|) and is read at its Newton point
+    (_newton_point); a point whose read misses |Phi - z_l| <= tol there
+    goes on to 0.1 tol min(1, |z_l|) and is read again.  A point also stops
+    once two iterates in a row have |Phi - z_l| at the rounding floor of
+    Phi at their zeta; the floor is tracked only while some point's stop
+    lies below it.  The steps share one budget of max_iter.  Returns zeta,
+    the per-point iterations, and Phi - z_l, Phi' and m_v: at the Newton
+    point where its residual is no larger than the last iterate's, and
+    Phi' always at the last iterate.  A point counts the steps it entered
+    neither converged nor stuck.
     """
     # relative below |z| = 1: near the hard edge z -> 0, g ~ sqrt(|z|)
-    # and an absolute target leaves m short of its digits.  There the
-    # target also falls below the rounding floor, where the backtracking
-    # still finds a hair of improvement in the noise at every step
-    target = 0.1 * tol * np.minimum(1.0, np.abs(z_l))
+    # and an absolute stop leaves m short of its digits.  There the stop
+    # can fall below the rounding floor, where the backtracking still
+    # finds a hair of improvement in the noise at every step
+    scale = np.minimum(1.0, np.abs(z_l))
+    target = (_SEED_TOL if tol is None else _NEWTON_STOP) * scale
     ph, dph, mv = _phi(d, c, t, zeta, 1)
     F = ph - z_l
     absF = np.abs(F)
     used = np.zeros(zeta.shape[0], dtype=int)
-    if (absF <= target).all():  # the seeds solve it: no floor to track
-        return zeta, used, F, dph, mv
     stuck = np.zeros(zeta.shape[0], dtype=bool)
-    # elsewhere the floor lies far below the target (at most a tenth of it
-    # on the theory fixture), and tracking it would cost a 12-point solve
-    # about a fifth of its time; settled marks an iterate after one at the
-    # floor
-    floor = _rounding_floor(d.size, c, t, zeta, mv)
-    track = bool((floor > target).any())
-    at_floor = settled = np.zeros(zeta.shape[0], dtype=bool)
-    for _ in range(max_iter):
-        done = absF <= target
-        if track:
-            at_floor = absF <= floor
-            done |= at_floor & settled
-        idle = done | stuck
-        if idle.all():
-            break
-        used += ~idle
-        step = np.where(idle, 0.0, F / dph)
-        lam = 1.0
-        cand = zeta - step
-        phc, dphc, mvc = _phi(d, c, t, cand, 1)
-        Fc = phc - z_l
-        absFc = np.abs(Fc)
-        for _ in range(40):
-            better = ((absFc < absF) & (cand.imag > 0)) | idle
-            if better.all():
+    budget, read, rows = max_iter, np.ones(zeta.shape[0], dtype=bool), None
+    for polish in (False, True):
+        # the floor lies far below the stop on the theory fixture, and
+        # tracking it would cost a 12-point solve about a fifth of its
+        # time; settled marks an iterate after one at the floor
+        floor = _rounding_floor(d.size, c, t, zeta, mv) if (absF > target).any() else target
+        track = bool((floor > target).any())
+        at_floor = settled = np.zeros(zeta.shape[0], dtype=bool)
+        while budget:
+            done = absF <= target
+            if track:
+                at_floor = absF <= floor
+                done |= at_floor & settled
+            idle = done | stuck
+            if idle.all():
                 break
-            lam = np.where(better, lam, lam * 0.5)
-            cand = np.where(better, cand, zeta - lam * step)
-            phc2, dphc2, mvc2 = _phi(d, c, t, cand, 1)
-            Fc = np.where(better, Fc, phc2 - z_l)
-            dphc = np.where(better, dphc, dphc2)
-            mvc = np.where(better, mvc, mvc2)
+            budget -= 1
+            used += ~idle
+            step = np.where(idle, 0.0, F / dph)
+            lam = 1.0
+            cand = zeta - step
+            phc, dphc, mvc = _phi(d, c, t, cand, 1)
+            Fc = phc - z_l
             absFc = np.abs(Fc)
-        improved = ~idle if better.all() else (absFc < absF) & (cand.imag > 0) & ~idle
-        zeta = np.where(improved, cand, zeta)
-        F = np.where(improved, Fc, F)
-        dph = np.where(improved, dphc, dph)
-        mv = np.where(improved, mvc, mv)
-        if track:
-            settled = np.where(improved, at_floor, settled)
-            floor = np.where(improved, _rounding_floor(d.size, c, t, cand, mvc), floor)
-        absF = np.abs(F)
-        stuck = stuck | (~improved & ~done)
-    return zeta, used, F, dph, mv
+            for _ in range(40):
+                better = ((absFc < absF) & (cand.imag > 0)) | idle
+                if better.all():
+                    break
+                lam = np.where(better, lam, lam * 0.5)
+                cand = np.where(better, cand, zeta - lam * step)
+                phc2, dphc2, mvc2 = _phi(d, c, t, cand, 1)
+                Fc = np.where(better, Fc, phc2 - z_l)
+                dphc = np.where(better, dphc, dphc2)
+                mvc = np.where(better, mvc, mvc2)
+                absFc = np.abs(Fc)
+            improved = ~idle if better.all() else (absFc < absF) & (cand.imag > 0) & ~idle
+            zeta = np.where(improved, cand, zeta)
+            F = np.where(improved, Fc, F)
+            dph = np.where(improved, dphc, dph)
+            mv = np.where(improved, mvc, mv)
+            if track:
+                settled = np.where(improved, at_floor, settled)
+                floor = np.where(improved, _rounding_floor(d.size, c, t, cand, mvc), floor)
+            absF = np.abs(F)
+            stuck = stuck | (~improved & ~done)
+        if tol is None:
+            return zeta, used, F, dph, mv
+        at = _newton_point(d, c, t, z_l[read], zeta[read], F[read], dph[read])
+        keep = (np.abs(at[1]) <= absF[read]) & (at[0].imag > 0)
+        rows = rows or [zeta.copy(), F.copy(), mv.copy()]
+        for row, new, old in zip(rows, at, (zeta, F, mv)):
+            row[read] = np.where(keep, new, old[read])
+        miss = read & ~(np.abs(rows[1]) <= tol)
+        if polish or not budget or not miss.any():
+            break
+        # polish the misses; the rest stay idle
+        target, read = np.where(miss, 0.1 * tol * scale, np.inf), miss
+    return rows[0], used, rows[1], dph, rows[2]
 
 
 def _ladder(eta_floor: float) -> list:
@@ -340,10 +375,9 @@ def _solve_grid(spec, params, z, cfg, method):
 
     # initial state at the top of the ladder
     z_l = E + 1j * np.maximum(eta_t, levels[0])
-    # the fixed-point route's own top level, like all of its levels above
-    # the last, only seeds the next one
-    top_tol = fp_tol if method == "hybrid" else _FP_LEVEL_TOL
-    m, used, settled = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, top_tol)
+    # on either route the top level, like every level above the last,
+    # only seeds the next one
+    m, used, settled = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, _SEED_TOL)
     iters += used
     zeta = _zeta_from_m(c, t, z_l, m)
     re_b = (1.0 + c * t * m).real
@@ -357,11 +391,11 @@ def _solve_grid(spec, params, z, cfg, method):
     z_prev, dph = z_l, None
     for eta_level in levels:
         z_l = E + 1j * np.maximum(eta_t, eta_level)
+        last = eta_level == levels[-1]
         if method == "fixed_point":
             # a level above the last only seeds the next one, and skips the
             # points that already converged at this z_l and tolerance
-            last = eta_level == levels[-1]
-            tol = fp_tol if last else _FP_LEVEL_TOL
+            tol = fp_tol if last else _SEED_TOL
             live = np.flatnonzero(last | ~settled | (z_l != z_prev))
             for _ in range(3 if live.size else 0):
                 m[live], used, settled[live] = _fp_iterate(d, c, t, z_l[live], m[live], cfg.max_iterations, tol)
@@ -377,7 +411,7 @@ def _solve_grid(spec, params, z, cfg, method):
             # step); one that lands on the real axis keeps its zeta
             pred = zeta + (z_l - z_prev) / dph
             zeta = np.where(pred.imag != 0, pred.real + 1j * np.abs(pred.imag), zeta)
-        zeta, used, F, dph, mv = _newton_level(d, c, t, z_l, zeta, cfg.tolerance, cfg.max_iterations)
+        zeta, used, F, dph, mv = _newton_level(d, c, t, z_l, zeta, cfg.tolerance if last else None, cfg.max_iterations)
         iters += used
         z_prev = z_l
 
@@ -603,9 +637,10 @@ def _walk(d, c, t, start, E, count, cfg):
     expansion seed, any other the tangent seed.  _atom_sums gives every
     point the bits it gets alone, so no point's result depends on the
     other tracks.  SolverError carries its track as `track`.  Returns the
-    rows (zeta, Phi - E, Phi', m_v) at E and each point's Newton steps,
-    with those of its track's failed attempts and intermediate energies
-    since.
+    rows (zeta, Phi - E, Phi', m_v) at E, read at each point's Newton
+    point with Phi' at its last iterate (_newton_level), and each point's
+    Newton steps, with those of its track's failed attempts and
+    intermediate energies since.
     """
     E_cur, zeta, slope = np.array(start[0], dtype=float), np.array(start[1], dtype=complex), np.array(start[2], dtype=complex)
     pos, size, h, pending = (end := count.cumsum()) - count, np.ones(end.size, dtype=int), np.full(end.size, np.inf), np.zeros(end.size, dtype=int)
@@ -648,9 +683,10 @@ def _walk(d, c, t, start, E, count, cfg):
     return at, steps
 
 
-def _right_mass(d, c, t, zeta):
-    """(R, m) at subordination points zeta, Im zeta > 0: the law's mass
-    R = mu((E, inf)) above E = Phi(zeta), and m = m_v / g.
+def _right_mass(d, c, t, zeta, mv):
+    """(R, m) at subordination points zeta, Im zeta > 0, with mv = m_v
+    there: the law's mass R = mu((E, inf)) above E = Phi(zeta), and
+    m = m_v / g.
 
     The log-potential L(z) = int log(x - z) dmu(x) has L' = -m and
     Im L(E + i0) = -pi mu((-inf, E)), so R = 1 + Im L / pi.  With
@@ -660,12 +696,12 @@ def _right_mass(d, c, t, zeta):
     continuous by Im(d - zeta) < 0 and Im g < 0).  Above lambda_plus each
     log(d_i - zeta) has argument -pi and g > 0, so R = 0 fixes the constant;
     at a real critical point x_c with g > 0 the same limit gives
-    R = #{d_i > x_c}/p.  m_v comes from _atom_sums, and the arguments are
-    summed the same way, each point along its own row of atoms: O(log p)
-    roundings, whatever the batch.
+    R = #{d_i > x_c}/p.  The arguments are summed as _atom_sums sums, each
+    point along its own row of atoms: O(log p) roundings, whatever the
+    batch.
     """
     p = d.shape[0]
-    arg, mv = np.empty(zeta.shape[0]), _atom_sums(d, zeta, 0)[0]
+    arg = np.empty(zeta.shape[0])
     stride = max(1, _CHUNK // p)
     for lo in range(0, zeta.shape[0], stride):
         z = zeta[lo : lo + stride, None]

@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 _WALK_NODES = 8  # nodes theta = pi j / 9, j = 1..8, walked on a component holding a target
+# R is formed as 1 + Im L / pi, so it carries about one ulp of 1: a root
+# in theta is settled once R - tau is within that below 0
+_MASS_FLOOR = np.finfo(float).eps
 _ETA_STEPS = 100  # Newton steps for eta_l; n = 1e15 needs 27
 
 
@@ -45,9 +48,11 @@ def _locations(spec, params, edge, targets, cfg):
     One _walk takes each component [l, r] that holds a target strictly
     inside from its right edge over _WALK_NODES nodes, whose R brackets
     every target there; each is then the root of R - tau by _bracketed_newton
-    in theta, E = l + (r-l) cos^2(theta/2), slope rho (r-l) sin(theta) / 2.
-    An evaluation is one _walk call, a track per live target from its last
-    accepted point, with R read at the Newton point zeta - (Phi - E) / Phi'.
+    in theta, E = l + (r-l) cos^2(theta/2), slope rho (r-l) sin(theta) / 2,
+    from the secant of its node bracket (of the cube of the distance to the
+    edge next to one), until R - tau is within _MASS_FLOOR below 0.  An
+    evaluation is one _walk call, a track per live target from its last
+    accepted point, with R and m read at the walk's Newton point.
     """
     if params.t <= 0:
         raise ValueError("classical locations need t > 0")
@@ -77,7 +82,7 @@ def _locations(spec, params, edge, targets, cfg):
     E = left[:, None] + width[:, None] * np.cos(0.5 * theta[1:-1]) ** 2
     _, first, which = np.unique(comp, return_index=True, return_inverse=True)
     at = walk(rows[comp[first], 1:].T, E[first].ravel(), np.full(first.size, _WALK_NODES), first).reshape(4, first.size, -1)
-    R, m = (v.reshape(at.shape[1:])[which] for v in _right_mass(d, c, t, (at[0] - at[1] / at[2]).ravel()))
+    R, m = (v.reshape(at.shape[1:])[which] for v in _right_mass(d, c, t, at[0].ravel(), at[3].ravel()))
     at = at[:, which]
     R = np.column_stack((np.append(0.0, left_mass)[comp], R, left_mass[comp]))
     j = np.count_nonzero(R < tau[:, None], axis=1) - 1  # R[j] < tau <= R[j + 1]
@@ -87,14 +92,20 @@ def _locations(spec, params, edge, targets, cfg):
 
     def mass(theta, i):
         E = left[i] + width[i] * np.cos(0.5 * theta) ** 2
-        zeta, F, dph, _ = walk((E_last[i], zeta_last[i], slope_last[i]), E, one[: i.size], i)
-        R, m = _right_mass(d, c, t, zeta - F / dph)
+        zeta, F, dph, mv = walk((E_last[i], zeta_last[i], slope_last[i]), E, one[: i.size], i)
+        R, m = _right_mass(d, c, t, zeta, mv)
         E_last[i], zeta_last[i], slope_last[i] = E, zeta, dph
         f = R - tau[i]
         err[i] = np.where(f < 0.0, np.abs(f) + np.abs(m * F) / np.pi, err[i])
-        return f, m.imag / np.pi * 0.5 * width[i] * np.sin(theta), f < 0.0
+        # a zero step on the true side ends the point's solve
+        return np.where((f < 0.0) & (f >= -_MASS_FLOOR), 0.0, f), m.imag / np.pi * 0.5 * width[i] * np.sin(theta), f < 0.0
 
-    x[inner] = left + width * np.cos(0.5 * _bracketed_newton(mass, theta[j], theta[j + 1], _ROOT_XTOL, every)) ** 2
+    # the solve starts at the secant of its bracket; next to an edge, where
+    # R moves as the cube of the distance in theta, at the secant in that cube
+    lo, hi = theta[j], theta[j + 1]
+    s = (tau - R[every, j]) / (R[every, j + 1] - R[every, j])
+    start = lo + (hi - lo) * np.where(j == 0, np.cbrt(s), np.where(j == _WALK_NODES, 1.0 - np.cbrt(1.0 - s), s))
+    x[inner] = left + width * np.cos(0.5 * _bracketed_newton(mass, lo, hi, _ROOT_XTOL, every, start=start)) ** 2
     if np.any(np.diff(x[np.argsort(targets, kind="stable")]) >= 0):
         raise SolverError("classical locations failed to decrease strictly")
     return x, float(err.max(initial=0.0))

@@ -111,6 +111,61 @@ def test_bracketed_newton_skips_empty_brackets():
     assert out.shape == (0,)
 
 
+def test_bracketed_newton_plateau_of_zeros():
+    # f = 1 - x below 1 and exactly 0 above, the test f > 0: from the false
+    # side every step is 0 and moved one float, so 100 evaluations used to
+    # creep from 1.5 and return the bracket's low end 0.0.  After
+    # _CREEP_CAP zero steps in a row the point bisects, lands on the true
+    # side, and Newton goes on from there
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        f = np.where(x < 1.0, 1.0 - x, 0.0)
+        return f, -np.ones_like(x), f > 0.0
+
+    root = edge_mod._bracketed_newton(fun, [0.0], [3.0], edge_mod._ROOT_XTOL)[0]
+    assert root == np.nextafter(1.0, 0.0) and len(calls) == edge_mod._CREEP_CAP + 4 == 12
+    # the first _CREEP_CAP + 1 evaluations creep down from the midpoint
+    assert np.all(np.diff(np.ravel(calls[: edge_mod._CREEP_CAP + 1])) < 0) and calls[edge_mod._CREEP_CAP + 1][0] == pytest.approx(0.75)
+
+
+def test_bracketed_newton_starts_inside_the_bracket():
+    # a start in the open bracket is the first evaluation; one outside it
+    # (or on an end) is replaced by the midpoint
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        return x - 0.3, np.ones_like(x), x < 0.3
+
+    edge_mod._bracketed_newton(fun, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1e-12, start=np.array([0.25, 1.0, -2.0]))
+    assert calls[0].tolist() == [0.25, 0.5, 0.5]
+
+
+def test_edge_reads_its_solve_point_once():
+    # the point the bracketed Newton returns was its last evaluation where
+    # Phi' < 0, and that pass gives lambda_plus, Phi' and Phi'' there; the
+    # last Newton step is evaluated only where it moves the point.  No
+    # point is evaluated twice at order 2 (here the step rounds to 0)
+    spec, params = canonical_sqrt_spectrum(200, 1.0), ModelParams(p=200, n=400, t=0.368)
+    found = find_right_edge(spec, params)
+    passes = []
+    real_phi = edge_mod._phi
+
+    def recording(d, c, t, x, order=0):
+        if order == 2:
+            passes.extend(np.ravel(x).tolist())
+        return real_phi(d, c, t, x, order)
+
+    edge_mod._phi = recording
+    try:
+        again = find_right_edge(spec, params)
+    finally:
+        edge_mod._phi = real_phi
+    assert again == found and len(passes) == len(set(passes))
+
+
 def test_edge_bracket_errors():
     # at t = 1e-30 Phi' stays positive down to d1 + 1e-14; at t = 1e7 the
     # noise-only critical point sqrt(c) t lies beyond d1 + 1e6

@@ -223,9 +223,11 @@ def test_fixed_point_route_work_and_agreement(monkeypatch):
 
 
 def test_hybrid_route_work(monkeypatch):
-    # every Newton step evaluates _phi on all 64 points: 1,600 columns with
-    # the tangent predictor on the 0.25 ladder (6,144 on the 0.7 ladder
-    # without a predictor)
+    # every Newton step evaluates _phi on all 64 points: 1,280 columns with
+    # the levels above the last stopped at a seed residual and the last
+    # read at its Newton point, one order-0 pass among them (1,600 when
+    # every level ran to 0.1 tol; 6,144 on the 0.7 ladder without a
+    # predictor)
     spec, params, z = _theory_grid()
     columns = []
     real_phi = freeconv._phi
@@ -236,7 +238,31 @@ def test_hybrid_route_work(monkeypatch):
 
     monkeypatch.setattr(freeconv, "_phi", counting)
     solve_many(spec, params, z)
-    assert sum(columns) <= 1_750
+    assert sum(columns) <= 1_350
+
+
+def test_newton_level_reads_each_point_at_its_newton_point(monkeypatch):
+    # energies below the edge of the theory fixture, seeded by the edge
+    # expansion: each point is returned at zeta - (Phi - E)/Phi' with Phi
+    # and m_v from that pass, and the two whose read misses tol = 1e-13
+    # (9.6e-13 and 2.3e-13) are polished and read again in the same call
+    spec, params = _theory_fixture()
+    edge = find_right_edge(spec, params)
+    d, c, t = spec.values, params.c_n, params.t
+    x = np.geomspace(1e-9, 1e-3, 7)
+    E, seed = edge.lambda_plus - x, edge.zeta_plus + 1j * np.sqrt(2.0 * x / edge.phi_second)
+    reads = []
+    real_read = freeconv._newton_point
+
+    def recording(d, c, t, z_l, zeta, F, dph):
+        reads.append(zeta.size)
+        return real_read(d, c, t, z_l, zeta, F, dph)
+
+    monkeypatch.setattr(freeconv, "_newton_point", recording)
+    zeta, _, F, _, mv = freeconv._newton_level(d, c, t, E, seed, 1e-13, 200)
+    assert reads == [7, 2] and np.all(np.abs(F) <= 1e-13)
+    ph, mv_at = _phi(d, c, t, zeta)
+    assert np.array_equal(F, ph - E) and np.array_equal(mv, mv_at)
 
 
 def _polish_battery_cases(picks):
@@ -272,10 +298,11 @@ def test_fixed_point_polish_runs_while_residual_falls():
 
 
 def test_seed_1_worst_route_gap_is_the_hybrids():
-    # the seed-1 battery's largest relative route gap, 5.7e-12 at case 251
-    # (p = 41, t = 3.2e-4, eta = 3.7e-4), against a 50-digit root of
-    # m = b mean 1/(d - zeta(m)): Newton stops at |Phi - z| <= 1e-13 |z|
-    # and |dm/dz| is large here, while the fixed-point route polishes
+    # the seed-1 battery's largest relative route gap was 5.7e-12, at case
+    # 251 (p = 41, t = 3.2e-4, eta = 3.7e-4), and it was the hybrid's own
+    # error against a 50-digit root of m = b mean 1/(d - zeta(m)): m was
+    # read at the last Newton iterate, where |dm/dz| times the residual
+    # left it.  Read at the Newton point, the error there is 1.8e-14
     mp = pytest.importorskip("mpmath")
     spec, params, z = _polish_battery_cases((251,))[251]
     assert z.real == pytest.approx(0.6596819291484486, rel=1e-14)
@@ -292,7 +319,7 @@ def test_seed_1_worst_route_gap_is_the_hybrids():
 
         exact = complex(mp.findroot(residual, mp.mpc(fixed.real, fixed.imag)))
     assert abs(fixed - exact) <= 1e-13 * abs(exact)
-    assert abs(hybrid - exact) <= 1e-11 * abs(exact)
+    assert abs(hybrid - exact) <= 1e-13 * abs(exact)
 
 
 def test_phi_inverts_subordination(canonical_small):
@@ -630,6 +657,30 @@ def test_support_finder_work_p1000(monkeypatch):
     spec, params = canonical_sqrt_spectrum(1000, 1.0), ModelParams(p=1000, n=n, t=n ** (-1.0 / 6.0))
     points, passes = _finder_work(spec, params, monkeypatch)
     assert points <= 230 and passes <= 38
+
+
+def test_support_lowest_edge_past_a_plateau_of_g():
+    # every atom at 1, c = 1, t = 0.999: g = 1 - t/(1 - x) has its zero at
+    # x_g = 1e-3, where the floats are so dense that g rounds to exactly 0
+    # over about 500 of them on the false side.  The search for x_g used
+    # to creep there one float a step for all 100 steps and return the low
+    # end of its bracket, which put the lowest left edge at 0.  The edge is
+    # Phi = x g^2 at the zero of Phi' = g (g + 2 x g'): with y = 1 - x,
+    # y^2 + t y - 2t = 0
+    t = 0.999
+    spec, params = make_spectrum(np.ones(20)), ModelParams(p=20, n=20, t=t)
+    edge = find_right_edge(spec, params)
+    comps = freeconv._support(spec.values, params.c_n, params.t, edge)
+    y = 0.5 * (np.sqrt(t * t + 8.0 * t) - t)
+    exact = (1.0 - y) * (1.0 - t / y) ** 2
+    assert comps.shape[0] == 1 and comps[0, 0] == pytest.approx(exact, rel=1e-6) and exact > 1e-10
+    # a dense sign scan below x_g: the run with g > 0 and Phi' > 0 maps
+    # onto (0, left edge)
+    x = np.linspace(0.0, 1e-3, 200_001)[1:]
+    ph, slope, mv = _phi(spec.values, params.c_n, params.t, x, 1)
+    run = np.flatnonzero((1.0 - t * mv > 0) & (slope > 0))
+    assert run[0] == 0 and np.all(np.diff(run) == 1)
+    assert abs(ph[run[-1]] - comps[0, 0]) <= 1e-16
 
 
 def test_support_settled_peak_at_c_one(monkeypatch):

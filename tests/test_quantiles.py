@@ -44,6 +44,26 @@ def test_mp_quantiles_closed_form(p, j_max, bound):
         assert abs(table.gamma[j - 1] - oracle) < bound
 
 
+def test_mp_quantiles_against_mpmath():
+    # criterion 6's locations (p = 50, gamma_2..gamma_20) against 40-digit
+    # roots of the closed-form distribution function: 2.0e-15 (2.9e-15
+    # when the theta-solve ran on below R's rounding floor from the
+    # midpoint of its node bracket, with R read at the last iterate)
+    mp = pytest.importorskip("mpmath")
+    p = 50
+    spec, params = make_spectrum(np.zeros(p)), ModelParams(p=p, n=p, t=1.0)
+    gamma = classical_locations(spec, params, 20, find_right_edge(spec, params)).gamma
+    with mp.workdps(40):
+        for j in range(2, 21):
+            target = 1 - mp.mpf(j - 1) / p
+
+            def F(x):
+                return 2 / mp.pi * mp.asin(mp.sqrt(x) / 2) + mp.sqrt(x * (4 - x)) / (2 * mp.pi) - target
+
+            root = mp.findroot(F, mp.mpf(float(gamma[j - 1])))
+            assert abs(mp.mpf(float(gamma[j - 1])) - root) <= 3e-15
+
+
 def test_gamma_strictly_decreasing(canonical_small):
     spec, params = canonical_small
     edge = find_right_edge(spec, params)
@@ -105,7 +125,7 @@ def test_right_mass_closed_form_marchenko_pastur():
     # is the root of zeta^2 + (2 - E) zeta + 1 on the upper unit circle
     E = np.linspace(0.02, 3.98, 50)
     zeta = 0.5 * (E - 2.0) + 0.5j * np.sqrt(4.0 - (E - 2.0) ** 2)
-    R, m = freeconv._right_mass(np.zeros(30), 1.0, 1.0, zeta)
+    R, m = freeconv._right_mass(np.zeros(30), 1.0, 1.0, zeta, -1.0 / zeta)
     F = 2 / np.pi * np.arcsin(np.sqrt(E) / 2) + np.sqrt(E * (4 - E)) / (2 * np.pi)
     npt.assert_allclose(R, 1.0 - F, rtol=0, atol=1e-13)
     npt.assert_allclose(m.imag / np.pi, np.sqrt(E * (4 - E)) / (2 * np.pi * E), rtol=1e-13)
@@ -124,7 +144,7 @@ def test_right_mass_against_quadrature():
     for left, right, x_c, phi2 in freeconv._support(d, c, t, find_right_edge(spec, params)):
         E = left + (right - left) * np.array([0.9, 0.4, 0.05])
         at = freeconv._walk(d, c, t, ([right], [x_c], [phi2]), E, np.array([3]), SolverConfig())[0]
-        R, _ = freeconv._right_mass(d, c, t, at[0] - at[1] / at[2])
+        R, _ = freeconv._right_mass(d, c, t, at[0], at[3])  # the walk's rows are read at the Newton point
         for e, r in zip(E, R):
             assert abs(r - _right_mass(spec, params, e)) < 1e-10
 
@@ -168,6 +188,26 @@ def test_small_t_locations_work(monkeypatch):
     assert calls[0] < 438 // 4
 
 
+def test_theory_fixture_locations_work(monkeypatch):
+    # the theory fixture (p = 200, t = n^(-1/6)): the node walk takes 4
+    # rounds and the theta-solve 9 evaluations, each one _newton_level
+    # call.  15 calls when each solve started at the midpoint of its node
+    # bracket and ran on below R's rounding floor
+    n = 400
+    spec, params = canonical_sqrt_spectrum(200, 1.0), ModelParams(p=200, n=n, t=n ** (-1.0 / 6.0))
+    edge = find_right_edge(spec, params)
+    calls = []
+    real = freeconv._newton_level
+
+    def counting(d, c, t, z_l, zeta, tol, max_iter):
+        calls.append(zeta.shape[0])
+        return real(d, c, t, z_l, zeta, tol, max_iter)
+
+    monkeypatch.setattr(freeconv, "_newton_level", counting)
+    classical_locations(spec, params, 20, edge)
+    assert len(calls) < 15
+
+
 def test_evaluation_failure_names_its_component_and_target(monkeypatch):
     # the node walk succeeds; then every solve in the lower component
     # fails, so the walk of the first bracketed-Newton evaluation there
@@ -178,9 +218,9 @@ def test_evaluation_failure_names_its_component_and_target(monkeypatch):
     real_newton, real_bracketed = freeconv._newton_level, quantiles._bracketed_newton
     armed = []
 
-    def bracketed(*args):
+    def bracketed(*args, **kwargs):
         armed.append(True)
-        return real_bracketed(*args)
+        return real_bracketed(*args, **kwargs)
 
     def newton(d, c, t, z_l, zeta, tol, max_iter):
         zeta, used, F, dph, mv = real_newton(d, c, t, z_l, zeta, tol, max_iter)

@@ -26,14 +26,18 @@ units in the last place.
 
 --locations instead times classical_locations(j_max = 20) on p = 200, 1000
 and 2000 at the same three t, and prints the freeconv._newton_level calls
-one call makes, the points it passes through them (its columns) and the
-median wall time of --repeats warm calls.
+one call makes, the points it passes through them (its columns), the
+evaluations of its theta-solve (the bracketed Newton in theta; 0 where
+every location is an edge) and the median wall time of --repeats warm
+calls.  Each table runs in a fresh interpreter, so no table's time
+depends on what ran before it.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import subprocess
 import sys
 import time
 
@@ -116,35 +120,43 @@ def timing(repeats):
 
 
 def locations(repeats):
-    print(f"{'p':>5} {'t':>9} {'calls':>7} {'columns':>9} {'ms':>10}")
-    real = freeconv._newton_level
-    calls, columns = [0], [0]
+    print(f"{'p':>5} {'t':>9} {'calls':>7} {'columns':>9} {'theta':>6} {'ms':>10}")
+    for p in ROW_SIZES:
+        for label, _ in TIMED_T:
+            cmd = [sys.executable, os.path.abspath(__file__), "--locations-row", str(p), label, "--repeats", str(repeats)]
+            print(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout, end="", flush=True)
+
+
+def locations_row(p, label, repeats):
+    """One --locations row: the counts of one call, then the timing."""
+    spec, params = fixture(p, dict(TIMED_T)[label])
+    edge = find_right_edge(spec, params)
+    calls, columns, evaluations = [0], [0], [0]
+    real_newton, real_bracketed = freeconv._newton_level, quantiles._bracketed_newton
 
     def newton(d, c, t, z_l, zeta, tol, max_iter):
         calls[0] += 1
         columns[0] += zeta.shape[0]
-        return real(d, c, t, z_l, zeta, tol, max_iter)
+        return real_newton(d, c, t, z_l, zeta, tol, max_iter)
 
-    # each module that imported the solver by name holds its own reference
-    patched = [m for m in (freeconv, quantiles) if getattr(m, "_newton_level", None) is real]
-    for p in ROW_SIZES:
-        for label, power in TIMED_T:
-            spec, params = fixture(p, power)
-            edge = find_right_edge(spec, params)
-            calls[0] = columns[0] = 0
-            for module in patched:
-                module._newton_level = newton
-            try:
-                classical_locations(spec, params, 20, edge)
-            finally:
-                for module in patched:
-                    module._newton_level = real
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                classical_locations(spec, params, 20, edge)
-                times.append(time.perf_counter() - t0)
-            print(f"{p:>5} {label:>9} {calls[0]:>7,} {columns[0]:>9,} {1e3 * np.median(times):>10.1f}", flush=True)
+    def bracketed(fun, *args, **kwargs):
+        def counted(*a):
+            evaluations[0] += 1
+            return fun(*a)
+
+        return real_bracketed(counted, *args, **kwargs)
+
+    freeconv._newton_level, quantiles._bracketed_newton = newton, bracketed
+    try:
+        classical_locations(spec, params, 20, edge)
+    finally:
+        freeconv._newton_level, quantiles._bracketed_newton = real_newton, real_bracketed
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        classical_locations(spec, params, 20, edge)
+        times.append(time.perf_counter() - t0)
+    print(f"{p:>5} {label:>9} {calls[0]:>7,} {columns[0]:>9,} {evaluations[0]:>6} {1e3 * np.median(times):>10.1f}")
 
 
 def save_rows(path):
@@ -183,9 +195,13 @@ def main(argv=None):
     ap.add_argument("--rows", metavar="NPZ")
     ap.add_argument("--compare", nargs=2, metavar="NPZ")
     ap.add_argument("--locations", action="store_true")
+    ap.add_argument("--locations-row", nargs=2, metavar=("P", "T"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.compare:
         compare(*args.compare)
+        return
+    if args.locations_row:
+        locations_row(int(args.locations_row[0]), args.locations_row[1], args.repeats)
         return
     if args.locations:
         locations(args.repeats)
