@@ -18,7 +18,12 @@ last only seeds the next one and stops at a loose residual; the last
 stops at a tighter one and is read at its Newton point
 zeta - (Phi - z)/Phi', whose residual |Phi(zeta) - z| is the solver's
 contract, and a point that misses it there is polished.  A point also
-stops once it sits at the rounding floor of Phi.  The ladder
+stops once it sits at the rounding floor of Phi.  Each Newton step and
+backtracking round evaluates Phi only at the points still open in it, and
+a point whose z_l did not move keeps the level above's Phi, Phi' and m_v,
+so a level's opening pass evaluates only the points that moved; the atom
+sums give a point the same bits in any batch, so this changes no result.
+The ladder
 top starts from 30 fixed-point sweeps on m from m = -1/z: for large t
 that bare guess can have Re b <= 0 or lead Newton to a wrong root, and
 the sweeps reach the Re b > 0 branch.  The same sweeps, run at every
@@ -253,8 +258,8 @@ def _newton_point(d, c, t, z_l, zeta, F, dph):
     return zeta, ph - z_l, mv
 
 
-def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
-    """Newton on Phi(zeta) = z_l for every point, with backtracking.
+def _newton_level(d, c, t, z_l, zeta, tol, max_iter, held=None):
+    """Newton on Phi(zeta) = z_l for a batch of points, with backtracking.
 
     z_l is a ladder level off the axis or an energy of the density walk.
     A step is taken only where it lowers |Phi - z_l| and keeps Im zeta > 0.
@@ -265,11 +270,18 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
     goes on to 0.1 tol min(1, |z_l|) and is read again.  A point also stops
     once two iterates in a row have |Phi - z_l| at the rounding floor of
     Phi at their zeta; the floor is tracked only while some point's stop
-    lies below it.  The steps share one budget of max_iter.  Returns zeta,
-    the per-point iterations, and Phi - z_l, Phi' and m_v: at the Newton
-    point where its residual is no larger than the last iterate's, and
-    Phi' always at the last iterate.  A point counts the steps it entered
-    neither converged nor stuck.
+    lies below it.  The steps share one budget of max_iter.
+
+    Each Newton step and each backtracking round evaluates _phi only on
+    the points still open in it, and scatters the results back; _atom_sums
+    gives a point the same bits in any batch, so no point's result depends
+    on which others are evaluated with it.  held = (known, F, Phi', m_v)
+    gives Phi - z_l, Phi' and m_v at zeta for the points in the mask known,
+    which the opening pass then skips.  Returns zeta, the per-point
+    iterations, and Phi - z_l, Phi' and m_v: at the Newton point where its
+    residual is no larger than the last iterate's, and Phi' always at the
+    last iterate.  A point counts the steps it entered neither converged
+    nor stuck.
     """
     # relative below |z| = 1: near the hard edge z -> 0, g ~ sqrt(|z|)
     # and an absolute stop leaves m short of its digits.  There the stop
@@ -277,8 +289,15 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
     # finds a hair of improvement in the noise at every step
     scale = np.minimum(1.0, np.abs(z_l))
     target = (_SEED_TOL if tol is None else _NEWTON_STOP) * scale
-    ph, dph, mv = _phi(d, c, t, zeta, 1)
-    F = ph - z_l
+    zeta = zeta.copy()
+    if held is None:
+        ph, dph, mv = _phi(d, c, t, zeta, 1)
+        F = ph - z_l
+    else:
+        known, F, dph, mv = (a.copy() for a in held)
+        if (fresh := np.flatnonzero(~known)).size:
+            ph, dph[fresh], mv[fresh] = _phi(d, c, t, zeta[fresh], 1)
+            F[fresh] = ph - z_l[fresh]
     absF = np.abs(F)
     used = np.zeros(zeta.shape[0], dtype=int)
     stuck = np.zeros(zeta.shape[0], dtype=bool)
@@ -289,44 +308,42 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
         # time; settled marks an iterate after one at the floor
         floor = _rounding_floor(d.size, c, t, zeta, mv) if (absF > target).any() else target
         track = bool((floor > target).any())
-        at_floor = settled = np.zeros(zeta.shape[0], dtype=bool)
+        at_floor, settled = np.zeros((2, zeta.shape[0]), dtype=bool)
         while budget:
             done = absF <= target
             if track:
                 at_floor = absF <= floor
                 done |= at_floor & settled
-            idle = done | stuck
-            if idle.all():
+            act = np.flatnonzero(~(done | stuck))
+            if act.size == 0:
                 break
             budget -= 1
-            used += ~idle
-            step = np.where(idle, 0.0, F / dph)
-            lam = 1.0
-            cand = zeta - step
+            used[act] += 1
+            # the step's points: their iterate, target, |Phi - z_l| and step
+            za, zt, aF = zeta[act], z_l[act], absF[act]
+            step = F[act] / dph[act]
+            cand = za - step
             phc, dphc, mvc = _phi(d, c, t, cand, 1)
-            Fc = phc - z_l
+            Fc = phc - zt
             absFc = np.abs(Fc)
+            lam = np.ones(act.size)
             for _ in range(40):
-                better = ((absFc < absF) & (cand.imag > 0)) | idle
-                if better.all():
+                back = np.flatnonzero(~((absFc < aF) & (cand.imag > 0)))
+                if back.size == 0:
                     break
-                lam = np.where(better, lam, lam * 0.5)
-                cand = np.where(better, cand, zeta - lam * step)
-                phc2, dphc2, mvc2 = _phi(d, c, t, cand, 1)
-                Fc = np.where(better, Fc, phc2 - z_l)
-                dphc = np.where(better, dphc, dphc2)
-                mvc = np.where(better, mvc, mvc2)
-                absFc = np.abs(Fc)
-            improved = ~idle if better.all() else (absFc < absF) & (cand.imag > 0) & ~idle
-            zeta = np.where(improved, cand, zeta)
-            F = np.where(improved, Fc, F)
-            dph = np.where(improved, dphc, dph)
-            mv = np.where(improved, mvc, mv)
+                lam[back] *= 0.5
+                cand[back] = za[back] - lam[back] * step[back]
+                phc2, dphc[back], mvc[back] = _phi(d, c, t, cand[back], 1)
+                Fc[back] = phc2 - zt[back]
+                absFc[back] = np.abs(Fc[back])
+            better = (absFc < aF) & (cand.imag > 0)
+            took = act[better]
+            zeta[took], F[took], absF[took] = cand[better], Fc[better], absFc[better]
+            dph[took], mv[took] = dphc[better], mvc[better]
             if track:
-                settled = np.where(improved, at_floor, settled)
-                floor = np.where(improved, _rounding_floor(d.size, c, t, cand, mvc), floor)
-            absF = np.abs(F)
-            stuck = stuck | (~improved & ~done)
+                settled[took] = at_floor[took]
+                floor[took] = _rounding_floor(d.size, c, t, cand[better], mvc[better])
+            stuck[act[~better]] = True
         if tol is None:
             return zeta, used, F, dph, mv
         at = _newton_point(d, c, t, z_l[read], zeta[read], F[read], dph[read])
@@ -388,7 +405,7 @@ def _solve_grid(spec, params, z, cfg, method):
             f"at ladder top eta={levels[0]:.3g}, E={E[j]:.17g}, eta={eta_t[j]:.3g}"
         )
 
-    z_prev, dph = z_l, None
+    z_prev, dph, held = z_l, None, None
     for eta_level in levels:
         z_l = E + 1j * np.maximum(eta_t, eta_level)
         last = eta_level == levels[-1]
@@ -410,8 +427,11 @@ def _solve_grid(spec, params, z, cfg, method):
             # into Im zeta > 0 (a point whose z_l did not move gets a zero
             # step); one that lands on the real axis keeps its zeta
             pred = zeta + (z_l - z_prev) / dph
-            zeta = np.where(pred.imag != 0, pred.real + 1j * np.abs(pred.imag), zeta)
-        zeta, used, F, dph, mv = _newton_level(d, c, t, z_l, zeta, cfg.tolerance if last else None, cfg.max_iterations)
+            pred = np.where(pred.imag != 0, pred.real + 1j * np.abs(pred.imag), zeta)
+            # a point whose z_l and zeta did not move keeps the level
+            # above's Phi - z_l, Phi' and m_v, which that level left at zeta
+            held, zeta = ((z_l == z_prev) & (pred == zeta), F, dph, mv), pred
+        zeta, used, F, dph, mv = _newton_level(d, c, t, z_l, zeta, cfg.tolerance if last else None, cfg.max_iterations, held)
         iters += used
         z_prev = z_l
 
@@ -505,19 +525,10 @@ def solve_many(
     cfg = cfg or SolverConfig()
     m, b, zeta, m_under, residual, iters = _solve_grid(spec, params, z, cfg, method)
     z = np.asarray(z, dtype=complex).ravel()
-    points = []
-    for j in range(z.shape[0]):
-        pt = ConvolutionPoint(
-            z=complex(z[j]),
-            m=complex(m[j]),
-            b=complex(b[j]),
-            zeta=complex(zeta[j]),
-            m_under=complex(m_under[j]),
-            residual=float(residual[j]),
-            iterations=int(iters[j]),
-        )
+    # tolist() gives the Python complex, float and int of each field at once
+    points = [ConvolutionPoint(*row) for row in zip(*(a.tolist() for a in (z, m, b, zeta, m_under, residual, iters)))]
+    for pt in points:
         pt.validate(params, cfg.tolerance)
-        points.append(pt)
     return points
 
 

@@ -46,19 +46,22 @@ def _atom_sums(d: np.ndarray, zeta: np.ndarray, order: int) -> np.ndarray:
     complex off the axis).  No atom-collision guard.  Powers are formed by
     products on chunks of (points, atoms) blocks, and each point sums its
     own row, which numpy sums pairwise: O(log p) roundings, and the same
-    bits whatever the batch width or chunking.
+    bits whatever the batch width or chunking.  Each order's row sums go
+    straight into the output, and each chunk is divided by p once.
     """
     k, p = zeta.shape[0], d.shape[0]
     out = np.empty((order + 1, k), dtype=np.result_type(zeta, float))
     stride = max(1, _CHUNK // p)
     for lo in range(0, k, stride):
-        inv = 1.0 / (d[None, :] - zeta[lo : lo + stride, None])
+        block = out[:, lo : lo + stride]
+        inv = 1.0 / (d - zeta[lo : lo + stride, None])
         power = inv
         for j in range(order + 1):
             if j:
                 power = power * inv
-            # sum / count is the arithmetic of mean(), without its per-call overhead
-            out[j, lo : lo + stride] = power.sum(axis=1) / p
+            np.add.reduce(power, axis=1, out=block[j])
+        # sum / count is the arithmetic of mean(), without its per-call overhead
+        block /= p
     return out
 
 

@@ -223,11 +223,12 @@ def test_fixed_point_route_work_and_agreement(monkeypatch):
 
 
 def test_hybrid_route_work(monkeypatch):
-    # every Newton step evaluates _phi on all 64 points: 1,280 columns with
-    # the levels above the last stopped at a seed residual and the last
-    # read at its Newton point, one order-0 pass among them (1,600 when
-    # every level ran to 0.1 tol; 6,144 on the 0.7 ladder without a
-    # predictor)
+    # each Newton step and backtracking round evaluates _phi only on the
+    # points still open in it, and a level's opening pass skips the points
+    # whose z_l did not move: 831 columns with the levels above the last
+    # stopped at a seed residual and the last read at its Newton point
+    # (1,280 when every step evaluated all 64 points; 6,144 on the 0.7
+    # ladder without a predictor)
     spec, params, z = _theory_grid()
     columns = []
     real_phi = freeconv._phi
@@ -238,7 +239,41 @@ def test_hybrid_route_work(monkeypatch):
 
     monkeypatch.setattr(freeconv, "_phi", counting)
     solve_many(spec, params, z)
-    assert sum(columns) <= 1_350
+    assert sum(columns) <= 900
+
+
+def test_newton_level_steps_only_live_points(monkeypatch):
+    # energies below the edge of the theory fixture: the even ones seeded at
+    # the zeta a seed-level solve returns, so they are done on arrival, the
+    # odd ones by the edge expansion.  After the opening pass no _phi call
+    # takes more than the live points, and every point gets what it gets in
+    # a call of its own; points passed in held skip the opening pass too
+    spec, params = _theory_fixture()
+    edge = find_right_edge(spec, params)
+    d, c, t = spec.values, params.c_n, params.t
+    x = np.geomspace(1e-3, 1.0, 10)
+    E, seed = edge.lambda_plus - x, edge.zeta_plus + 1j * np.sqrt(2.0 * x / edge.phi_second)
+    solved = freeconv._newton_level(d, c, t, E, seed, None, 200)
+    known = np.arange(E.size) % 2 == 0
+    seed = np.where(known, solved[0], seed)
+    columns = []
+    real_phi = freeconv._phi
+
+    def counting(d, c, t, zeta, order=0):
+        columns.append(zeta.size)
+        return real_phi(d, c, t, zeta, order)
+
+    monkeypatch.setattr(freeconv, "_phi", counting)
+    batch = freeconv._newton_level(d, c, t, E, seed, None, 200)
+    assert columns[0] == E.size and max(columns[1:]) <= np.count_nonzero(~known)
+    assert np.all(batch[1][known] == 0) and np.all(batch[1][~known] > 0)
+    held = (known, *(np.where(known, row, np.nan) for row in batch[2:]))
+    columns.clear()
+    assert all(np.array_equal(a, b) for a, b in zip(freeconv._newton_level(d, c, t, E, seed, None, 200, held), batch))
+    assert columns[0] == np.count_nonzero(~known)
+    for i in range(E.size):
+        alone = freeconv._newton_level(d, c, t, E[i : i + 1], seed[i : i + 1], None, 200)
+        assert all(a.tobytes() == b[i : i + 1].tobytes() for a, b in zip(alone, batch))
 
 
 def test_newton_level_reads_each_point_at_its_newton_point(monkeypatch):

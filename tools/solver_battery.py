@@ -11,8 +11,10 @@ and failed counts, the largest relative gap |m_fixed - m_hybrid| / |m_hybrid|
 over the cases both routes solve, the _fp_map and _phi columns evaluated
 (one column is one point through the atom-sum kernel: _fp_map columns are
 the fixed-point sweeps, _phi columns the Newton ladder's evaluations and
-the fixed-point polish's residual checks) and the wall time, then one line
-per failed case.
+the fixed-point polish's residual checks), the wall time and a sha256 digest
+of the solved cases' indices and their m, zeta, residual and iterations
+(two trees that solve alike print the same digest), then one line per
+failed case.
 
 Batteries, each drawn case by case from one numpy default_rng(seed):
   large-t  seeds 0 and 1, 300 cases each: p = integers(10, 61); c by choice
@@ -28,6 +30,7 @@ Batteries, each drawn case by case from one numpy default_rng(seed):
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -77,6 +80,17 @@ def seed_1_cases():
 BATTERIES = {"large-t": large_t_cases, "seed-1": seed_1_cases}
 
 
+def _digest(points):
+    """sha256 over the case indices and their points' m, zeta, residual and
+    iterations, each field as one little-endian array."""
+    idx = sorted(points)
+    h = hashlib.sha256(np.array(idx, dtype="<i8").tobytes())
+    h.update(np.array([(points[i].m, points[i].zeta) for i in idx], dtype="<c16").tobytes())
+    h.update(np.array([points[i].residual for i in idx], dtype="<f8").tobytes())
+    h.update(np.array([points[i].iterations for i in idx], dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
 def run(name):
     cases = list(BATTERIES[name]())
     columns = {"_fp_map": 0, "_phi": 0}
@@ -97,26 +111,27 @@ def run(name):
         for route in ROUTES:
             columns.update(_fp_map=0, _phi=0)
             t0 = time.perf_counter()
-            ms = {}
+            points = {}
             for i, (spec, params, z) in enumerate(cases):
                 try:
-                    ms[i] = solve_point(spec, params, z, method=route).m
+                    points[i] = solve_point(spec, params, z, method=route)
                 except SolverError as exc:
                     failures.append((route, i, params, z, exc))
-            solved[route] = (ms, dict(columns), time.perf_counter() - t0)
+            solved[route] = (points, dict(columns), time.perf_counter() - t0)
     finally:
         freeconv._fp_map, freeconv._phi = real_map, real_phi
 
-    hybrid = solved["hybrid"][0]
-    both = [i for i in solved["fixed_point"][0] if i in hybrid]
-    gap = max((abs(solved["fixed_point"][0][i] - hybrid[i]) / abs(hybrid[i]) for i in both), default=0.0)
+    hybrid, fixed = solved["hybrid"][0], solved["fixed_point"][0]
+    both = [i for i in fixed if i in hybrid]
+    gap = max((abs(fixed[i].m - hybrid[i].m) / abs(hybrid[i].m) for i in both), default=0.0)
     print(f"battery {name}: {len(cases)} cases, largest relative route gap {gap:.2e} over {len(both)} cases")
     for route in ROUTES:
-        ms, cols, wall = solved[route]
+        points, cols, wall = solved[route]
         print(
-            f"  {route:<11} solved {len(ms)}/{len(cases)}, failed {len(cases) - len(ms)}, "
+            f"  {route:<11} solved {len(points)}/{len(cases)}, failed {len(cases) - len(points)}, "
             f"_fp_map columns {cols['_fp_map']:,}, _phi columns {cols['_phi']:,}, wall {wall:.2f} s"
         )
+        print(f"  {'':<11} sha256 {_digest(points)}")
     for route, i, params, z, exc in failures:
         print(f"  failed {route} case {i}: p={params.p}, c={params.c_n:.3g}, t={params.t:.4g}, z={z:.6g}, |z|={abs(z):.4g}: {exc}")
 
