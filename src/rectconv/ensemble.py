@@ -178,7 +178,7 @@ def _factor(Y: np.ndarray):
     vectors are not formed: the trial keeps Y instead (see TrialRecord).
     """
     lam, U = np.linalg.eigh(Y @ Y.T)
-    return np.maximum(lam[::-1], 0.0), U[:, ::-1]
+    return np.maximum(lam[::-1], 0.0), np.ascontiguousarray(U[:, ::-1])
 
 
 def run_trial(
@@ -313,7 +313,6 @@ def resolvent_quadratic_form(record: TrialRecord, z, u: np.ndarray, v: np.ndarra
     if np.any(zs.imag == 0):
         raise ValueError("resolvent evaluation needs Im z != 0")
     za = np.atleast_1d(zs)
-    # one product with U: matmul copies the column-reversed view on each call
     a1, b1, y_u, y_v = np.vstack([u[:p], v[:p], np.stack([u[p:], v[p:]]) @ Y.T]) @ U
     rz = 1.0 / np.sqrt(za)
     sums = np.stack([a1 * b1, a1 * y_v + y_u * b1, y_u * y_v]) @ (1.0 / (lam[:, None] - za[None, :]))

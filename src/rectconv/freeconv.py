@@ -23,20 +23,23 @@ backtracking round evaluates Phi only at the points still open in it, and
 a point whose z_l did not move keeps the level above's Phi, Phi' and m_v,
 so a level's opening pass evaluates only the points that moved; the atom
 sums give a point the same bits in any batch, so this changes no result.
-The ladder
-top starts from 30 fixed-point sweeps on m from m = -1/z: for large t
-that bare guess can have Re b <= 0 or lead Newton to a wrong root, and
-the sweeps reach the Re b > 0 branch.  The same sweeps, run at every
-level, make the independent cross-check route.  Their map
+The ladder top starts from 30 fixed-point sweeps on m from m = -1/z: for
+large t that bare guess can have Re b <= 0 or lead Newton to a wrong
+root, and the sweeps reach the Re b > 0 branch.  The same sweeps, run at
+every level, make the independent cross-check route.  Their map
 m -> b m_v(zeta(m)), zeta = b^2 z_l - b t (1-c), runs on the same
 atom-sum kernel, and each sweep maps only the points that have not yet
 converged.  A sweep takes the secant step on the residual f(m) - m
 (Anderson acceleration of depth 1) where it is safe and a damped step
-elsewhere, so the route uses map values only.  The levels above the last
-only seed the next one, so there the sweeps stop at a loose update and
-skip the points whose z_l has not moved since they converged; the last
-level and the polish at z run to the full tolerance.  All entry
-points accept arrays of evaluation points and solve them in lockstep.
+elsewhere, so the route uses map values only.  The levels above the
+last only seed the next one, so there the sweeps stop at a loose update
+and skip the points whose z_l has not moved since they converged or
+already equals their z; at the last level z_l = z, and a point stops
+once its update meets 0.01 tol and its residual |Phi(zeta(m)) - z|,
+read from the same atom-sum pass, meets 0.9 tol.  Every point takes its
+own rounds of sweeps, so no point's result depends on its batch.  All
+entry points accept arrays of evaluation points and solve them in
+lockstep.
 
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
 with Im zeta > 0.  The support edges are Phi at the real critical points
@@ -106,8 +109,9 @@ _SECANT_REACH = 4.0
 # point, whose residual is about the square of that.
 _SEED_TOL = 1e-6
 _NEWTON_STOP = 1e-8
-# Fixed-point polish of the final level: calls of _fp_iterate always
-# made while the residual contract is unmet, and the most made at all.
+# Fixed-point rounds (calls of _fp_iterate) at the last level: a point
+# that has not met its update and residual takes at least _POLISH_CALLS,
+# then more while its own residual still falls, and at most _POLISH_MAX.
 _POLISH_CALLS = 12
 _POLISH_MAX = 400
 
@@ -182,7 +186,7 @@ def _fp_map(d, c, t, z_l, m):
     return b * _atom_sums(d, _zeta_from_m(c, t, z_l, m), 0)[0]
 
 
-def _fp_iterate(d, c, t, z_l, m, n_steps, tol):
+def _fp_iterate(d, c, t, z_l, m, n_steps, tol, goal=None):
     """Fixed-point sweeps on m, each point by a safeguarded secant step on
     the residual r = f(m) - m or else by a damped step.
 
@@ -194,22 +198,28 @@ def _fp_iterate(d, c, t, z_l, m, n_steps, tol):
     damped step m + alpha r, whose alpha halves when |r| grew and grows by
     1.2 when it did not.  A point stops once |r| meets tol * max(1, |m|)
     and keeps its m from then on; each sweep maps only the points still
-    active.  Returns (m, per-point steps, converged mask); a point counts
-    the sweeps it entered.
+    active.  With a goal, a sweep reads |Phi(zeta(m)) - z_l| from the pass
+    that gives the map value (_phi), a point also needs that <= goal to
+    stop, and one still active after n_steps keeps its last mapped m.
+    Returns m, the sweeps each point entered, the converged mask and
+    |Phi(zeta(m)) - z_l| (inf without a goal).
     """
-    k = m.shape[0]
-    m = m.copy()
-    done = np.zeros(k, dtype=bool)
-    steps = np.zeros(k, dtype=int)
+    k, m = m.shape[0], m.copy()
+    done, steps, res = np.zeros(k, dtype=bool), np.zeros(k, dtype=int), np.full(k, np.inf)
     # the live points' index, target, iterate, damping, and last iterate
     # and residual; the first sweep has no history: its r_prev is infinite
     # and its m_prev = m
     live, z_a, m_a = np.arange(k), z_l, m
     alpha, m_prev, r_prev = np.full(k, _DAMPING), m.copy(), np.full(k, np.inf, dtype=complex)
     for sweep in range(n_steps):
-        r = _fp_map(d, c, t, z_a, m_a) - m_a
+        if goal is None:
+            r, met = _fp_map(d, c, t, z_a, m_a) - m_a, True
+        else:
+            ph, mv = _phi(d, c, t, _zeta_from_m(c, t, z_a, m_a))
+            r, res_a = (1.0 + c * t * m_a) * mv - m_a, np.abs(ph - z_a)
+            res[live], met = res_a, res_a <= goal
         delta = np.abs(r)
-        hit = delta <= tol * np.maximum(1.0, np.abs(m_a))
+        hit = (delta <= tol * np.maximum(1.0, np.abs(m_a))) & met
         if hit.any():
             stop = live[hit]
             done[stop], steps[stop], m[stop] = True, sweep + 1, m_a[hit]
@@ -218,6 +228,8 @@ def _fp_iterate(d, c, t, z_l, m, n_steps, tol):
             alpha, m_prev, r_prev = alpha[keep], m_prev[keep], r_prev[keep]
             if live.size == 0:
                 break
+        if goal is not None and sweep == n_steps - 1:
+            break  # keep the m whose residual was read
         # where |dm| <= _SECANT_REACH |dr|, the step -r dm / dr is at most
         # _SECANT_REACH |r| long; dr != 0 where |r| fell, and a zero dm (the
         # first sweep) gives no step
@@ -230,7 +242,7 @@ def _fp_iterate(d, c, t, z_l, m, n_steps, tol):
         m_prev, r_prev = m_a, r
         m_a = np.where(take, secant, m_a + alpha * r)
     m[live], steps[live] = m_a, n_steps
-    return m, steps, done
+    return m, steps, done, res
 
 
 def _zeta_from_m(c, t, z_l, m):
@@ -388,13 +400,12 @@ def _solve_grid(spec, params, z, cfg, method):
     E = z.real
 
     iters = np.zeros(z.shape[0], dtype=int)
-    fp_tol = 0.01 * cfg.tolerance
 
     # initial state at the top of the ladder
     z_l = E + 1j * np.maximum(eta_t, levels[0])
     # on either route the top level, like every level above the last,
     # only seeds the next one
-    m, used, settled = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, _SEED_TOL)
+    m, used, settled, _ = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, _SEED_TOL)
     iters += used
     zeta = _zeta_from_m(c, t, z_l, m)
     re_b = (1.0 + c * t * m).real
@@ -410,15 +421,20 @@ def _solve_grid(spec, params, z, cfg, method):
         z_l = E + 1j * np.maximum(eta_t, eta_level)
         last = eta_level == levels[-1]
         if method == "fixed_point":
-            # a level above the last only seeds the next one, and skips the
-            # points that already converged at this z_l and tolerance
-            tol = fp_tol if last else _SEED_TOL
-            live = np.flatnonzero(last | ~settled | (z_l != z_prev))
-            for _ in range(3 if live.size else 0):
-                m[live], used, settled[live] = _fp_iterate(d, c, t, z_l[live], m[live], cfg.max_iterations, tol)
+            # a level above the last only seeds the next one: a point skips
+            # it where it converged at this z_l or its z_l is already z, and
+            # takes at most 3 rounds of sweeps.  At the last a point also
+            # needs |Phi(zeta(m)) - z| <= 0.9 tol (_POLISH_CALLS)
+            tol, goal = (0.01 * cfg.tolerance, 0.9 * cfg.tolerance) if last else (_SEED_TOL, None)
+            live = np.flatnonzero(last | ((~settled | (z_l != z_prev)) & (z_l != z)))
+            rounds, residual = 0, np.full(z.shape[0], np.inf)
+            while live.size and rounds < (_POLISH_MAX if last else 3):
+                rounds += 1
+                m[live], used, settled[live], res = _fp_iterate(d, c, t, z_l[live], m[live], cfg.max_iterations, tol, goal)
                 iters[live] += used
-                if settled[live].all():
-                    break
+                go = ~settled[live] & ((not last) | (rounds < _POLISH_CALLS) | (res < residual[live]))
+                residual[live] = res
+                live = live[go]
             z_prev = z_l
             continue
 
@@ -435,29 +451,13 @@ def _solve_grid(spec, params, z, cfg, method):
         iters += used
         z_prev = z_l
 
+    # the last level's target z_l is z itself
     if method == "fixed_point":
-        # the update criterion does not bound the map residual directly,
-        # so polish until the residual contract itself is met: at least
-        # _POLISH_CALLS rounds, then on while the worst residual still falls
-        worst_prev = np.inf
-        for call in range(_POLISH_MAX + 1):
-            zeta = _zeta_from_m(c, t, z, m)
-            residual = np.abs(_phi(d, c, t, zeta)[0] - z)
-            worst = residual.max()
-            if worst <= 0.9 * cfg.tolerance or call == _POLISH_MAX:
-                break
-            if call >= _POLISH_CALLS and not worst < worst_prev:
-                break
-            worst_prev = worst
-            m, used, _ = _fp_iterate(d, c, t, z, m, cfg.max_iterations, fp_tol * 0.01)
-            iters += used
-        b = 1.0 + c * t * m
+        zeta = _zeta_from_m(c, t, z, m)
     else:
-        # the last level's target z_l is z itself
         residual = np.abs(F)
         m = mv / (1.0 - c * t * mv)
-        b = 1.0 + c * t * m
-
+    b = 1.0 + c * t * m
     m_under = c * m - (1.0 - c) / z
     if np.any(residual > cfg.tolerance):
         j = int(np.argmax(residual))

@@ -148,7 +148,7 @@ def test_fp_iterate_maps_only_unconverged_points(canonical_small, monkeypatch):
         return real_map(d, c, t, z_l, m)
 
     monkeypatch.setattr(freeconv, "_fp_map", recording)
-    _, steps, done = freeconv._fp_iterate(
+    _, steps, done, _ = freeconv._fp_iterate(
         spec.values, params.c_n, params.t, z, -1.0 / z, 200, 1e-14
     )
     assert done.all()
@@ -174,11 +174,22 @@ def test_fp_map_matches_direct_formula(n):
 
 
 def test_fixed_point_batch_matches_points_alone(canonical_small):
+    # every point gets the bits it gets alone.  The second batch mixes eta
+    # from 1e-3 to 20: the 20 point has no level above the last, and the
+    # others' z_l reach their z at different levels.  The third is seed-1
+    # battery case 280 (about 19,000 sweeps) with a partner at half its E,
+    # which took 130 sweeps beside it under a batch-wide polish and 40 alone
     spec, params, z = _mixed_batch(canonical_small)
-    batch = solve_many(spec, params, z, method="fixed_point")
-    for pt in batch:
-        alone = solve_point(spec, params, pt.z, method="fixed_point")
-        assert abs(pt.m - alone.m) <= 1e-12
+    spec_280, params_280, z_280 = _polish_battery_cases((280,))[280]
+    batches = [
+        (spec, params, z),
+        (spec, params, np.array([0.5 + 20j, 1.2 + 0.3j, 1.6 + 2e-2j, 1.7 + 1e-3j])),
+        (spec_280, params_280, np.array([z_280, complex(z_280.real / 2, z_280.imag)])),
+    ]
+    for spec, params, z in batches:
+        for pt in solve_many(spec, params, z, method="fixed_point"):
+            alone = solve_point(spec, params, pt.z, method="fixed_point")
+            assert (pt.m, pt.zeta, pt.residual, pt.iterations) == (alone.m, alone.zeta, alone.residual, alone.iterations)
 
 
 def _theory_fixture():
@@ -205,8 +216,9 @@ def test_hybrid_batch_matches_points_alone():
 
 def test_fixed_point_route_work_and_agreement(monkeypatch):
     # the levels above the last only seed the next one, stop at a loose
-    # update and skip the points whose z_l did not move: 1,426 columns on
-    # this grid (1,538 without the skip, 4,419 on the 0.7 ladder)
+    # update and skip the points whose z_l did not move: 937 columns on
+    # this grid.  The last level's 407 sweeps read the residual from the
+    # same pass, so they run on _phi instead
     spec, params, z = _theory_grid()
     columns = []
     real_map = freeconv._fp_map
@@ -321,8 +333,9 @@ def _polish_battery_cases(picks):
 
 
 def test_fixed_point_polish_runs_while_residual_falls():
-    # after 12 polish calls these two points still sit at residuals
-    # 1.9e-11 and 5.3e-7 while the residual keeps falling
+    # at the last level case 280 still sits at residual 3.9e-5 after 12
+    # rounds of sweeps; its residual keeps falling, and it meets the
+    # contract in round 83.  Case 132 meets it in the first round there
     cases = _polish_battery_cases((132, 280))
     for i, E in ((132, 15.786336304912343), (280, 39.559329334800125)):
         spec, params, z = cases[i]
@@ -330,6 +343,41 @@ def test_fixed_point_polish_runs_while_residual_falls():
         fixed = solve_point(spec, params, z, method="fixed_point")
         assert fixed.residual <= 1e-12
         npt.assert_allclose(fixed.m, solve_point(spec, params, z).m, rtol=1e-10)
+
+
+def _large_t_battery_cases(picks):
+    # large-t battery: seeds 0 and 1, 300 cases each (case 300 + i is seed
+    # 1's case i); p in [10, 60], c in {1/4, 1/2, 0.9, 1}, atoms uniform on
+    # [0, 4] or all zero, t log-uniform on [10, 300], E uniform on
+    # [-5, 3t + 10], eta log-uniform on [1e-3, 3]
+    cases = {}
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        for i in range(300 * seed, 300 * seed + 300):
+            p = int(rng.integers(10, 61))
+            c = float(rng.choice([0.25, 0.5, 0.9, 1.0]))
+            atoms = rng.uniform(0, 4, p) if rng.integers(0, 2) else np.zeros(p)
+            t = float(np.exp(rng.uniform(np.log(10.0), np.log(300.0))))
+            E = float(rng.uniform(-5.0, 3.0 * t + 10.0))
+            eta = float(np.exp(rng.uniform(np.log(1e-3), np.log(3.0))))
+            if i in picks:
+                cases[i] = (make_spectrum(atoms), ModelParams(p=p, n=round(p / c), t=t), complex(E, eta))
+    return cases
+
+
+def test_fixed_point_route_checks_the_residual_every_sweep():
+    # these cases met the 0.01 tol update with residuals of 1.02e-12,
+    # 1.04e-12 and 1.20e-12 and raised when the residual was checked only
+    # between calls of 200 sweeps; checked after every sweep, they meet
+    # the contract within a few sweeps more
+    cases = _large_t_battery_cases((23, 90, 449))
+    for i, E in ((23, 75.576616732316921), (90, 275.32120773919803), (449, 93.756486278871165)):
+        spec, params, z = cases[i]
+        assert z.real == pytest.approx(E, rel=1e-14)
+        fixed = solve_point(spec, params, z, method="fixed_point")
+        assert fixed.iterations <= 40
+        hybrid = solve_point(spec, params, z).m
+        assert abs(fixed.m - hybrid) <= 1e-13 * abs(hybrid)
 
 
 def test_seed_1_worst_route_gap_is_the_hybrids():

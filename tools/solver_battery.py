@@ -10,11 +10,13 @@ method="fixed_point".  Per battery and route the script prints the solved
 and failed counts, the largest relative gap |m_fixed - m_hybrid| / |m_hybrid|
 over the cases both routes solve, the _fp_map and _phi columns evaluated
 (one column is one point through the atom-sum kernel: _fp_map columns are
-the fixed-point sweeps, _phi columns the Newton ladder's evaluations and
-the fixed-point polish's residual checks), the wall time and a sha256 digest
+the fixed-point sweeps above the last level, _phi columns the Newton
+ladder's evaluations and the fixed-point sweeps of the last level, which
+read the residual from the same pass), the wall time and a sha256 digest
 of the solved cases' indices and their m, zeta, residual and iterations
 (two trees that solve alike print the same digest), then one line per
-failed case.
+failed case.  The exit status is 1 when any case fails on either route,
+so the battery serves as a check.
 
 Batteries, each drawn case by case from one numpy default_rng(seed):
   large-t  seeds 0 and 1, 300 cases each: p = integers(10, 61); c by choice
@@ -134,15 +136,16 @@ def run(name):
         print(f"  {'':<11} sha256 {_digest(points)}")
     for route, i, params, z, exc in failures:
         print(f"  failed {route} case {i}: p={params.p}, c={params.c_n:.3g}, t={params.t:.4g}, z={z:.6g}, |z|={abs(z):.4g}: {exc}")
+    return len(failures)
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--battery", choices=(*BATTERIES, "all"), default="all")
     args = ap.parse_args(argv)
-    for name in BATTERIES if args.battery == "all" else (args.battery,):
-        run(name)
+    failed = sum(run(name) for name in (BATTERIES if args.battery == "all" else (args.battery,)))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
