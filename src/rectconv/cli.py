@@ -7,7 +7,6 @@ Exit codes: 0 success (and experiment pass), 1 experiment threshold fail,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -253,7 +252,9 @@ def cmd_experiment(run: RunConfig, args) -> int:
     return 0 if report.pass_ else 1
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser():
+    import argparse  # here, so importing the module loads no parser
+
     parser = argparse.ArgumentParser(
         prog="rectconv",
         description="Noise-convolved spectra: densities, edges, quantiles, experiments.",

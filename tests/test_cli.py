@@ -224,32 +224,40 @@ import numpy as np
 import rectconv, rectconv.cli
 
 def lazy_modules():
-    return sorted(
-        m for m in sys.modules for root in ("scipy", "numpy.polynomial") if m == root or m.startswith(root + ".")
-    )
+    roots = ("scipy", "numpy.polynomial", "argparse", "concurrent")
+    return sorted(m for m in sys.modules for root in roots if m == root or m.startswith(root + "."))
 
 found = {"import": lazy_modules()}
-for cmd in (["edge"], ["density", "--samples", "20"], ["quantiles", "--jmax", "5"]):
-    rectconv.cli.main(cmd + ["--config", sys.argv[1], "--out", sys.argv[2]])
-    found[cmd[0]] = lazy_modules()
+gaussian, no_gaussian = sys.argv[1], sys.argv[3]
+for key, cfg, cmd in (
+    ("edge", gaussian, ["edge"]),
+    ("density", gaussian, ["density", "--samples", "20"]),
+    ("quantiles", gaussian, ["quantiles", "--jmax", "5"]),
+    ("no-gaussian", no_gaussian, ["experiment", "universality", "--trials", "4"]),
+    ("universality", gaussian, ["experiment", "universality", "--trials", "4"]),
+    ("t1-null", gaussian, ["experiment", "t1-null", "--trials", "4"]),
+):
+    rectconv.cli.main(cmd + ["--config", cfg, "--out", sys.argv[2]])
+    found[key] = lazy_modules()
 a, b = np.random.default_rng(0).random((2, 50))
 import scipy.stats
-found["ks_equal"] = bool(
-    rectconv.experiments.ks_2samp(a, b).statistic == scipy.stats.ks_2samp(a, b).statistic
-)
+found["ks_equal"] = rectconv.experiments.ks_2samp(a, b) == float(scipy.stats.ks_2samp(a, b).statistic)
 print(json.dumps(found))
 """
 
 
 def test_edge_and_density_load_no_scipy(tmp_path):
-    # a fresh interpreter, since this process has imported scipy already;
-    # numpy.polynomial is not loaded either
-    cfg = _write_config(tmp_path)
+    # a fresh interpreter, since this process has imported scipy already.
+    # Set-up loads neither argparse nor the trial pool's concurrent.futures;
+    # edge, density and quantiles load no scipy and no numpy.polynomial;
+    # experiments load scipy.special for Gaussian noise only, never scipy.stats
+    cfg = _write_config(tmp_path, noise=["gaussian", "trinary"])
+    no_gaussian = _write_config(tmp_path, name="trinary.json", noise=["trinary", "rademacher"])
     src = os.path.dirname(os.path.dirname(rectconv.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, cfg, str(tmp_path / "out")],
+        [sys.executable, "-c", _IMPORT_PROBE, cfg, str(tmp_path / "out"), no_gaussian],
         env=env,
         capture_output=True,
         text=True,
@@ -257,7 +265,14 @@ def test_edge_and_density_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     found = json.loads(proc.stdout.splitlines()[-1])
-    assert found == {"import": [], "edge": [], "density": [], "quantiles": [], "ks_equal": True}
+    assert found.pop("ks_equal") is True
+    assert found.pop("import") == []
+    for cmd in ("edge", "density", "quantiles"):
+        assert found.pop(cmd) == ["argparse"], cmd
+    assert not [m for m in found.pop("no-gaussian") if m.startswith("scipy") or m.startswith("numpy.")]
+    for name, loaded in found.items():
+        assert "scipy.special" in loaded, name
+        assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")], name
 
 
 @pytest.mark.parametrize("name", ["locallaw", "delocalization"])

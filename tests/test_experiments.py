@@ -1,10 +1,13 @@
 """Experiment harness: statistics, reports, determinism."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from rectconv import (
@@ -396,6 +399,64 @@ def test_t1_null_structure():
 def test_t1_null_needs_two_kinds():
     with pytest.raises(ValueError):
         t1_null_experiment(_small_cfg(trials=4))
+
+
+def _scipy_ks(a, b) -> float:
+    with warnings.catch_warnings():
+        # the exact p-value can fail to converge; the statistic is set before
+        warnings.filterwarnings("ignore", "ks_2samp: Exact calculation unsuccessful", RuntimeWarning)
+        return scipy.stats.ks_2samp(a, b).statistic
+
+
+def _ks_sample(rng, n: int, levels: int, shift: float, n_inf: int) -> np.ndarray:
+    x = rng.integers(0, levels, n) + shift if levels else rng.normal(shift, 1.0, n)
+    x = x.astype(float)
+    x[rng.permutation(n)[:n_inf]] = rng.choice([-np.inf, np.inf], min(n, n_inf))
+    return x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n1=st.integers(1, 80),
+    n2=st.integers(1, 80),
+    seed=st.integers(0, 2**16),
+    levels=st.sampled_from([0, 2, 5, 20]),
+    shift=st.sampled_from([0.0, 0.3, 1.0]),
+    n_inf=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+def test_ks_2samp_matches_scipy_bits(n1, n2, seed, levels, shift, n_inf):
+    # levels > 0 draws integers, so both samples share values (ties)
+    rng = np.random.default_rng(seed)
+    a = _ks_sample(rng, n1, levels, 0.0, n_inf[0])
+    b = _ks_sample(rng, n2, levels, shift, n_inf[1])
+    got = experiments.ks_2samp(a, b)
+    assert type(got) is float
+    assert got == _scipy_ks(a, b)
+
+
+@pytest.mark.parametrize("n1, n2", [(10_000, 9_999), (10_001, 9_999)], ids=["exact", "asymptotic"])
+def test_ks_2samp_matches_scipy_at_mode_switch(n1, n2):
+    # scipy rounds the statistic to a multiple of 1/lcm(n1, n2) only while
+    # max(n1, n2) <= 10,000
+    rng = np.random.default_rng(31)
+    a, b = rng.normal(0.0, 1.0, n1), rng.normal(0.02, 1.0, n2)
+    assert experiments.ks_2samp(a, b) == _scipy_ks(a, b)
+
+
+@pytest.mark.parametrize("where", ["a", "b", "both"])
+def test_ks_2samp_nan_propagates(where):
+    a, b = np.random.default_rng(3).standard_normal((2, 20))
+    if where in ("a", "both"):
+        a[5] = np.nan
+    if where in ("b", "both"):
+        b[0] = np.nan
+    assert np.isnan(experiments.ks_2samp(a, b))
+    assert np.isnan(_scipy_ks(a, b))
+
+
+def test_ks_2samp_rejects_empty():
+    with pytest.raises(ValueError):
+        experiments.ks_2samp([], [1.0])
 
 
 def test_local_law_structure():
