@@ -25,21 +25,18 @@ so a level's opening pass evaluates only the points that moved; the atom
 sums give a point the same bits in any batch, so this changes no result.
 The ladder top starts from 30 fixed-point sweeps on m from m = -1/z: for
 large t that bare guess can have Re b <= 0 or lead Newton to a wrong
-root, and the sweeps reach the Re b > 0 branch.  The same sweeps, run at
-every level, make the independent cross-check route.  Their map
-m -> b m_v(zeta(m)), zeta = b^2 z_l - b t (1-c), runs on the same
+root, and the sweeps reach the Re b > 0 branch.  From there the same
+sweeps, run straight at z, make the independent cross-check route.  Their
+map m -> b m_v(zeta(m)), zeta = b^2 z - b t (1-c), runs on the same
 atom-sum kernel, and each sweep maps only the points that have not yet
 converged.  A sweep takes the secant step on the residual f(m) - m
 (Anderson acceleration of depth 1) where it is safe and a damped step
-elsewhere, so the route uses map values only.  The levels above the
-last only seed the next one, so there the sweeps stop at a loose update
-and skip the points whose z_l has not moved since they converged or
-already equals their z; at the last level z_l = z, and a point stops
-once its update meets 0.01 tol and its residual |Phi(zeta(m)) - z|,
-read from the same atom-sum pass, meets 0.9 tol.  Every point takes its
-own rounds of sweeps, so no point's result depends on its batch.  All
-entry points accept arrays of evaluation points and solve them in
-lockstep.
+elsewhere, so the route uses map values only.  At z a point stops once
+its update meets 0.01 tol and its residual |Phi(zeta(m)) - z|, read from
+the same atom-sum pass, meets 0.9 tol, or after max_iterations sweeps.
+Every point takes its own sweeps, so no point's result depends on its
+batch.  All entry points accept arrays of evaluation points and solve
+them in lockstep.
 
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
 with Im zeta > 0.  The support edges are Phi at the real critical points
@@ -99,21 +96,12 @@ _ETA_TOP = 10.0
 _LADDER_RATIO = 0.25
 _DAMPING = 0.5
 _START_SWEEPS = 30
-# The fixed-point sweeps' secant step may be at most this many times the
-# plain update f(m) - m long.
-_SECANT_REACH = 4.0
 # Levels above the last only seed the next level: there Newton stops at
-# this residual and the fixed-point sweeps at this update, both relative
-# (the last level runs the sweeps to 0.01 cfg.tolerance).  A final
-# Newton solve stops at _NEWTON_STOP relative and is read at its Newton
-# point, whose residual is about the square of that.
+# this residual and the start sweeps at this update, both relative.  A
+# final Newton solve stops at _NEWTON_STOP relative and is read at its
+# Newton point, whose residual is about the square of that.
 _SEED_TOL = 1e-6
 _NEWTON_STOP = 1e-8
-# Fixed-point rounds (calls of _fp_iterate) at the last level: a point
-# that has not met its update and residual takes at least _POLISH_CALLS,
-# then more while its own residual still falls, and at most _POLISH_MAX.
-_POLISH_CALLS = 12
-_POLISH_MAX = 400
 
 
 @dataclass(frozen=True)
@@ -187,25 +175,24 @@ def _fp_map(d, c, t, z_l, m):
 
 
 def _fp_iterate(d, c, t, z_l, m, n_steps, tol, goal=None):
-    """Fixed-point sweeps on m, each point by a safeguarded secant step on
-    the residual r = f(m) - m or else by a damped step.
+    """Fixed-point sweeps on m, each point by a secant step on the residual
+    r = f(m) - m or else by a damped step.
 
     The secant step m - r (m - m_prev) / (r - r_prev) is Anderson
     acceleration of depth 1 on a scalar unknown: it needs only map values,
     so the route still never forms a Newton step.  A point takes it where
-    its |r| fell since its last sweep, the step is at most _SECANT_REACH |r|
-    long and it keeps Im m > 0 and Re b > 0.  Otherwise the point takes the
-    damped step m + alpha r, whose alpha halves when |r| grew and grows by
-    1.2 when it did not.  A point stops once |r| meets tol * max(1, |m|)
-    and keeps its m from then on; each sweep maps only the points still
-    active.  With a goal, a sweep reads |Phi(zeta(m)) - z_l| from the pass
-    that gives the map value (_phi), a point also needs that <= goal to
-    stop, and one still active after n_steps keeps its last mapped m.
-    Returns m, the sweeps each point entered, the converged mask and
-    |Phi(zeta(m)) - z_l| (inf without a goal).
+    its |r| fell since its last sweep and the step keeps Im m > 0 and
+    Re b > 0.  Otherwise the point takes the damped step m + alpha r, whose
+    alpha halves when |r| grew and grows by 1.2 when it did not.  A point
+    stops once |r| meets tol * max(1, |m|) and keeps its m from then on;
+    each sweep maps only the points still active.  With a goal, a sweep
+    reads |Phi(zeta(m)) - z_l| from the pass that gives the map value
+    (_phi), a point also needs that <= goal to stop, and one still active
+    after n_steps keeps its last mapped m.  Returns m, the sweeps each
+    point entered and |Phi(zeta(m)) - z_l| (inf without a goal).
     """
     k, m = m.shape[0], m.copy()
-    done, steps, res = np.zeros(k, dtype=bool), np.zeros(k, dtype=int), np.full(k, np.inf)
+    steps, res = np.zeros(k, dtype=int), np.full(k, np.inf)
     # the live points' index, target, iterate, damping, and last iterate
     # and residual; the first sweep has no history: its r_prev is infinite
     # and its m_prev = m
@@ -222,7 +209,7 @@ def _fp_iterate(d, c, t, z_l, m, n_steps, tol, goal=None):
         hit = (delta <= tol * np.maximum(1.0, np.abs(m_a))) & met
         if hit.any():
             stop = live[hit]
-            done[stop], steps[stop], m[stop] = True, sweep + 1, m_a[hit]
+            steps[stop], m[stop] = sweep + 1, m_a[hit]
             keep = ~hit
             live, z_a, m_a, r, delta = live[keep], z_a[keep], m_a[keep], r[keep], delta[keep]
             alpha, m_prev, r_prev = alpha[keep], m_prev[keep], r_prev[keep]
@@ -230,19 +217,17 @@ def _fp_iterate(d, c, t, z_l, m, n_steps, tol, goal=None):
                 break
         if goal is not None and sweep == n_steps - 1:
             break  # keep the m whose residual was read
-        # where |dm| <= _SECANT_REACH |dr|, the step -r dm / dr is at most
-        # _SECANT_REACH |r| long; dr != 0 where |r| fell, and a zero dm (the
-        # first sweep) gives no step
+        # dr != 0 where |r| fell, and a zero dm (the first sweep) gives no step
         delta_prev = np.abs(r_prev)
         dm, dr = m_a - m_prev, r - r_prev
-        near = (delta < delta_prev) & (dm != 0) & (np.abs(dm) <= _SECANT_REACH * np.abs(dr))
+        near = (delta < delta_prev) & (dm != 0)
         secant = m_a - r * dm / np.where(near, dr, 1.0)
         take = near & (secant.imag > 0) & ((1.0 + c * t * secant).real > 0)
         alpha = np.where(delta > delta_prev, np.maximum(0.05, alpha * 0.5), np.minimum(1.0, alpha * 1.2))
         m_prev, r_prev = m_a, r
         m_a = np.where(take, secant, m_a + alpha * r)
     m[live], steps[live] = m_a, n_steps
-    return m, steps, done, res
+    return m, steps, res
 
 
 def _zeta_from_m(c, t, z_l, m):
@@ -399,15 +384,9 @@ def _solve_grid(spec, params, z, cfg, method):
     levels = _ladder(eta_t.min())
     E = z.real
 
-    iters = np.zeros(z.shape[0], dtype=int)
-
-    # initial state at the top of the ladder
+    # initial state at the top of the ladder, shared by both routes
     z_l = E + 1j * np.maximum(eta_t, levels[0])
-    # on either route the top level, like every level above the last,
-    # only seeds the next one
-    m, used, settled, _ = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, _SEED_TOL)
-    iters += used
-    zeta = _zeta_from_m(c, t, z_l, m)
+    m, iters, _ = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, _SEED_TOL)
     re_b = (1.0 + c * t * m).real
     if np.any(re_b <= 0):
         j = int(np.argmin(re_b))
@@ -416,45 +395,30 @@ def _solve_grid(spec, params, z, cfg, method):
             f"at ladder top eta={levels[0]:.3g}, E={E[j]:.17g}, eta={eta_t[j]:.3g}"
         )
 
-    z_prev, dph, held = z_l, None, None
-    for eta_level in levels:
-        z_l = E + 1j * np.maximum(eta_t, eta_level)
-        last = eta_level == levels[-1]
-        if method == "fixed_point":
-            # a level above the last only seeds the next one: a point skips
-            # it where it converged at this z_l or its z_l is already z, and
-            # takes at most 3 rounds of sweeps.  At the last a point also
-            # needs |Phi(zeta(m)) - z| <= 0.9 tol (_POLISH_CALLS)
-            tol, goal = (0.01 * cfg.tolerance, 0.9 * cfg.tolerance) if last else (_SEED_TOL, None)
-            live = np.flatnonzero(last | ((~settled | (z_l != z_prev)) & (z_l != z)))
-            rounds, residual = 0, np.full(z.shape[0], np.inf)
-            while live.size and rounds < (_POLISH_MAX if last else 3):
-                rounds += 1
-                m[live], used, settled[live], res = _fp_iterate(d, c, t, z_l[live], m[live], cfg.max_iterations, tol, goal)
-                iters[live] += used
-                go = ~settled[live] & ((not last) | (rounds < _POLISH_CALLS) | (res < residual[live]))
-                residual[live] = res
-                live = live[go]
-            z_prev = z_l
-            continue
-
-        if dph is not None:
-            # tangent predictor along the path z_l -> zeta(z_l), reflected
-            # into Im zeta > 0 (a point whose z_l did not move gets a zero
-            # step); one that lands on the real axis keeps its zeta
-            pred = zeta + (z_l - z_prev) / dph
-            pred = np.where(pred.imag != 0, pred.real + 1j * np.abs(pred.imag), zeta)
-            # a point whose z_l and zeta did not move keeps the level
-            # above's Phi - z_l, Phi' and m_v, which that level left at zeta
-            held, zeta = ((z_l == z_prev) & (pred == zeta), F, dph, mv), pred
-        zeta, used, F, dph, mv = _newton_level(d, c, t, z_l, zeta, cfg.tolerance if last else None, cfg.max_iterations, held)
-        iters += used
-        z_prev = z_l
-
-    # the last level's target z_l is z itself
     if method == "fixed_point":
+        # the sweeps go straight to z: a point stops once its update meets
+        # 0.01 tol and |Phi(zeta(m)) - z| meets 0.9 tol
+        m, used, residual = _fp_iterate(d, c, t, z, m, cfg.max_iterations, 0.01 * cfg.tolerance, 0.9 * cfg.tolerance)
+        iters += used
         zeta = _zeta_from_m(c, t, z, m)
     else:
+        zeta, z_prev, dph, held = _zeta_from_m(c, t, z_l, m), z_l, None, None
+        for eta_level in levels:
+            z_l = E + 1j * np.maximum(eta_t, eta_level)
+            last = eta_level == levels[-1]
+            if dph is not None:
+                # tangent predictor along the path z_l -> zeta(z_l), reflected
+                # into Im zeta > 0 (a point whose z_l did not move gets a zero
+                # step); one that lands on the real axis keeps its zeta
+                pred = zeta + (z_l - z_prev) / dph
+                pred = np.where(pred.imag != 0, pred.real + 1j * np.abs(pred.imag), zeta)
+                # a point whose z_l and zeta did not move keeps the level
+                # above's Phi - z_l, Phi' and m_v, which that level left at zeta
+                held, zeta = ((z_l == z_prev) & (pred == zeta), F, dph, mv), pred
+            zeta, used, F, dph, mv = _newton_level(d, c, t, z_l, zeta, cfg.tolerance if last else None, cfg.max_iterations, held)
+            iters += used
+            z_prev = z_l
+        # the last level's target z_l is z itself
         residual = np.abs(F)
         m = mv / (1.0 - c * t * mv)
     b = 1.0 + c * t * m
@@ -507,8 +471,9 @@ def solve_point(
 
     method selects the route: "hybrid" (default) starts the ladder top
     with damped fixed-point sweeps and solves every level by Newton;
-    "fixed_point" runs the sweeps at every level and never forms a Newton
-    step, which makes it an independent cross-check of the default.
+    "fixed_point" runs the sweeps on from the ladder top straight at z and
+    never forms a Newton step, which makes it an independent cross-check
+    of the default.
     """
     return solve_many(spec, params, [z], cfg, method)[0]
 

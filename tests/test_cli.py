@@ -511,7 +511,7 @@ def test_initialization_failure_names_point_and_exits_three(tmp_path, capsys, mo
     # a start-up sweep that lands on Re b <= 0 is a numerical failure
     def wrong_branch(d, c, t, z_l, m, n_steps, tol):
         k = m.shape[0]
-        return np.full(k, -2.0 / (c * t), dtype=complex), np.zeros(k, dtype=int), np.ones(k, dtype=bool), np.full(k, np.inf)
+        return np.full(k, -2.0 / (c * t), dtype=complex), np.zeros(k, dtype=int), np.full(k, np.inf)
 
     monkeypatch.setattr(freeconv, "_fp_iterate", wrong_branch)
     cfg = _locallaw_config(tmp_path)

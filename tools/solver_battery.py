@@ -10,13 +10,13 @@ method="fixed_point".  Per battery and route the script prints the solved
 and failed counts, the largest relative gap |m_fixed - m_hybrid| / |m_hybrid|
 over the cases both routes solve, the _fp_map and _phi columns evaluated
 (one column is one point through the atom-sum kernel: _fp_map columns are
-the fixed-point sweeps above the last level, _phi columns the Newton
-ladder's evaluations and the fixed-point sweeps of the last level, which
-read the residual from the same pass), the wall time and a sha256 digest
-of the solved cases' indices and their m, zeta, residual and iterations
-(two trees that solve alike print the same digest), then one line per
-failed case.  The exit status is 1 when any case fails on either route,
-so the battery serves as a check.
+the ladder-top start sweeps that both routes share, _phi columns the
+Newton ladder's evaluations and the fixed-point route's sweeps at z, which
+read the residual from the same pass), the wall time, the solved case with
+the most iterations and a sha256 digest of the solved cases' indices and
+their m, zeta, residual and iterations (two trees that solve alike print
+the same digest), then one line per failed case.  The exit status is 1
+when any case fails on either route, so the battery serves as a check.
 
 Batteries, each drawn case by case from one numpy default_rng(seed):
   large-t  seeds 0 and 1, 300 cases each: p = integers(10, 61); c by choice
@@ -133,6 +133,9 @@ def run(name):
             f"  {route:<11} solved {len(points)}/{len(cases)}, failed {len(cases) - len(points)}, "
             f"_fp_map columns {cols['_fp_map']:,}, _phi columns {cols['_phi']:,}, wall {wall:.2f} s"
         )
+        if points:
+            worst = max(points, key=lambda i: points[i].iterations)
+            print(f"  {'':<11} most iterations: case {worst} ({points[worst].iterations:,})")
         print(f"  {'':<11} sha256 {_digest(points)}")
     for route, i, params, z, exc in failures:
         print(f"  failed {route} case {i}: p={params.p}, c={params.c_n:.3g}, t={params.t:.4g}, z={z:.6g}, |z|={abs(z):.4g}: {exc}")
