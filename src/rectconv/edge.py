@@ -26,8 +26,6 @@ __all__ = [
     "edge_report_json",
 ]
 
-_BRACKET_LIMIT = 1e6
-_BRACKET_FLOOR = 1e-14
 # Bracketed Newton (the edge, the support finder, the classical
 # locations): a point ends once the step or the bracket falls below
 # _ROOT_XTOL relative, and after _ROOT_STEPS evaluations at the latest.
@@ -39,8 +37,8 @@ _CREEP_CAP = 8
 
 
 class EdgeBracketError(RuntimeError):
-    """The edge solve failed: no sign change of the edge equation on the
-    admissible ray, or a degenerate expansion at the critical point."""
+    """The edge solve failed: the critical point under one float of d_1,
+    the solve out of the float range, or a degenerate expansion there."""
 
 
 @dataclass(frozen=True)
@@ -62,15 +60,24 @@ class EdgeData:
 def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
     """Locate the right edge for t > 0 (t = 0 short-circuits to the top atom).
 
-    Brackets the critical-point equation Phi' = 0 on (d_1, d_1 + 1e6]
-    between neighbours of the offsets eps 2^k, eps = 1e-8 * max(1, d_1),
-    searched from the one nearest the square-root scale t^2 of xi_plus,
-    shrinking toward d_1 if the equation is already positive at eps.  It
-    solves the equation by _bracketed_newton on Phi' inside the bracket,
-    with Phi'' from the same atom-sum pass, and from the point it returns
-    takes the Newton step when that step is below _ROOT_XTOL relative.
-    That point is the solve's last evaluation where Phi' < 0, so its pass
-    is reused, and the step is evaluated only where it moves the point.
+    Solves the critical-point equation Phi' = 0 by _bracketed_newton on
+    Phi', with Phi'' from the same atom-sum pass, in the closed-form
+    bracket (d_1, d_1 + delta], delta = c t + sqrt(c t (t + 2 d_1)), from
+    its midpoint, and from the point it returns takes the Newton step when
+    that step is below _ROOT_XTOL relative.  That point is the solve's last
+    evaluation where Phi' < 0, so its pass is reused, and the step is
+    evaluated only where it moves the point.
+
+    The bracket holds.  At zeta = d_1 + x, x > 0, g = 1 - c t m_v >= 1 and
+    0 < m_v' <= 1/x^2, so Phi' = g^2 - 2 zeta c t m_v' g - (1-c) c t^2 m_v'
+    >= g^2 - a g - b with a = 2 zeta c t / x^2 and b = (1-c) c t^2 / x^2.
+    While a <= 2 that bound rises with g, so Phi' >= 1 - a - b, and
+    a + b = 1 exactly at x = delta: Phi' > 0 at the top end, while
+    Phi' -> -inf as zeta -> d_1+.  _bracketed_newton never evaluates the
+    ends, so the low end d_1 is safe.  Where its midpoint rounds to d_1, or
+    no point it tries has Phi' < 0, the critical point is under one float
+    of d_1, and the solve raises EdgeBracketError; so does an atom sum or
+    t^2 out of the float range (t far from the scale of d_1).
 
     Phi'' > 0 on the ray: with y_i = zeta - d_i and means over the atoms,
     Phi'' = 4 c t g mean(d_i / y_i^3) + 2 zeta (c t mean(y_i^-2))^2
@@ -90,37 +97,6 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
         )
 
     d, c = spec.values, params.c_n
-
-    def slope(x: float) -> float:
-        return _phi(d, c, t, x, 1)[1]
-
-    scale = max(1.0, d1)
-    eps = 1e-8 * scale
-    # start at the square-root scale t^2 of xi_plus, on the doubling grid
-    # eps 2^k, and step down the grid while the equation is positive: the
-    # bracket is the one that doubling from eps finds
-    width = eps * 2.0 ** round(np.log2(np.clip(t * t, eps, _BRACKET_LIMIT) / eps))
-    while width > eps and slope(d1 + width) >= 0.0:
-        width /= 2.0
-    if width == eps:
-        while slope(d1 + eps) >= 0.0:
-            eps /= 100.0
-            if eps < _BRACKET_FLOOR * scale:
-                raise EdgeBracketError(
-                    f"edge equation has no sign change above d1 + {_BRACKET_FLOOR * scale:.3e}"
-                )
-        width = eps
-    # the equation is negative at d1 + width
-    lo = d1 + width
-    while True:
-        width *= 2.0
-        if width > _BRACKET_LIMIT:
-            raise EdgeBracketError("edge equation stays negative out to d1 + 1e6")
-        if slope(d1 + width) >= 0.0:
-            break
-        lo = d1 + width
-    hi = d1 + width
-
     held = [None, None]  # the last x with Phi' < 0 and its pass
 
     def on_slope(x):
@@ -129,30 +105,40 @@ def find_right_edge(spec: Spectrum, params: ModelParams) -> EdgeData:
             held[:] = x[0], row
         return row[1], row[2], row[1] < 0.0
 
-    zeta_plus = _bracketed_newton(on_slope, [lo], [hi], _ROOT_XTOL)[0]
-    row = held[1] if held[0] == zeta_plus else _phi(d, c, t, np.array([zeta_plus]), 2)
-    lambda_plus, s1, phi_second = (v[0] for v in row[:3])
-    step = s1 / phi_second
-    if abs(step) <= _ROOT_XTOL * zeta_plus and zeta_plus - step != zeta_plus:
-        zeta_plus -= step
-        lambda_plus, _, phi_second, _ = _phi(d, c, t, zeta_plus, 2)
-    if not (lambda_plus > d1 and phi_second > 0.0):
-        raise EdgeBracketError(
-            f"degenerate edge solve: lambda={lambda_plus}, phi''={phi_second}"
-        )
-    edge = EdgeData(
-        lambda_plus=float(lambda_plus),
-        zeta_plus=float(zeta_plus),
-        xi_plus=float(zeta_plus - d1),
-        velocity=0.0,
-        sqrt_coeff=0.0,
-        phi_second=float(phi_second),
-    )
-    return replace(
-        edge,
-        velocity=edge_velocity(spec, params, edge),
-        sqrt_coeff=sqrt_coefficient(spec, params, edge),
-    )
+    try:
+        # an atom sum or t^2 out of the float range fails the solve
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            hi = d1 + c * t + np.sqrt(c * t) * np.sqrt(t + 2.0 * d1)
+            # where the first point, the midpoint, rounds to d1, or Phi' < 0
+            # at no point tried, the critical point is under one float of d1
+            zeta_plus = d1 if 0.5 * (d1 + hi) == d1 else _bracketed_newton(on_slope, [d1], [hi], _ROOT_XTOL)[0]
+            if zeta_plus == d1:
+                raise EdgeBracketError(f"the critical point is under one float of d1 = {d1} at t = {t}")
+            row = held[1] if held[0] == zeta_plus else _phi(d, c, t, np.array([zeta_plus]), 2)
+            lambda_plus, s1, phi_second = (v[0] for v in row[:3])
+            step = s1 / phi_second
+            if abs(step) <= _ROOT_XTOL * zeta_plus and zeta_plus - step != zeta_plus:
+                zeta_plus -= step
+                lambda_plus, _, phi_second, _ = _phi(d, c, t, zeta_plus, 2)
+            if not (lambda_plus > d1 and phi_second > 0.0):
+                raise EdgeBracketError(
+                    f"degenerate edge solve: lambda={lambda_plus}, phi''={phi_second}"
+                )
+            edge = EdgeData(
+                lambda_plus=float(lambda_plus),
+                zeta_plus=float(zeta_plus),
+                xi_plus=float(zeta_plus - d1),
+                velocity=0.0,
+                sqrt_coeff=0.0,
+                phi_second=float(phi_second),
+            )
+            return replace(
+                edge,
+                velocity=edge_velocity(spec, params, edge),
+                sqrt_coeff=sqrt_coefficient(spec, params, edge),
+            )
+    except FloatingPointError as exc:
+        raise EdgeBracketError(f"edge solve out of the float range at t = {t}: {exc}") from exc
 
 
 def _bracketed_newton(fun, lo, hi, xtol, *args, start=None):
@@ -163,7 +149,8 @@ def _bracketed_newton(fun, lo, hi, xtol, *args, start=None):
     end to x.  args are per-point arrays, passed for the live points only.
     The first x is start, or the midpoint where start is None or outside
     the open bracket.  A step that leaves the bracket is replaced by
-    bisection.  A point stops once holds is true and its step is below
+    bisection.  So lo and hi themselves are never evaluated (while a float
+    lies between them), and an end where fun is singular is safe.  A point stops once holds is true and its step is below
     xtol relative, or once its bracket is that narrow; a small step from
     the false side is doubled, to land past the root.  A zero step there
     moves one float, so more than _CREEP_CAP of them in a row (a plateau

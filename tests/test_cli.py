@@ -452,8 +452,16 @@ def test_bad_threads_env(tmp_path, capsys, monkeypatch):
     assert "RECTCONV_THREADS" in capsys.readouterr().err
 
 
-def test_solver_failure_exits_three(tmp_path, capsys):
-    cfg = _write_config(tmp_path, solver={"tolerance": 1e-300, "max_iterations": 10})
+def test_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # a density walk whose Newton never meets its residual is a numerical
+    # failure.  A tolerance of 1e-300 is not enough to make it one: a
+    # residual can round to exactly 0
+    def failing(d, c, t, z_l, zeta, tol, max_iter):
+        n = zeta.shape[0]
+        return zeta, np.zeros(n, dtype=int), np.ones(n, dtype=complex), np.ones(n, dtype=complex), zeta
+
+    monkeypatch.setattr(freeconv, "_newton_level", failing)
+    cfg = _write_config(tmp_path)
     rc = main(
         ["density", "--config", cfg, "--out", str(tmp_path / "o"), "--samples", "3"]
     )

@@ -15,7 +15,10 @@ Newton ladder's evaluations and the fixed-point route's sweeps at z, which
 read the residual from the same pass), the wall time, the solved case with
 the most iterations and a sha256 digest of the solved cases' indices and
 their m, zeta, residual and iterations (two trees that solve alike print
-the same digest), then one line per failed case.  The exit status is 1
+the same digest), then one line per failed case.  Each battery also
+prints a sha256 of its drawn cases (atoms, p, n, t and z): the seed-1
+battery draws E from lambda_plus, so an edge solve that moves a bit moves
+its cases, and with them the result digests.  The exit status is 1
 when any case fails on either route, so the battery serves as a check.
 
 Batteries, each drawn case by case from one numpy default_rng(seed):
@@ -82,6 +85,19 @@ def seed_1_cases():
 BATTERIES = {"large-t": large_t_cases, "seed-1": seed_1_cases}
 
 
+def _case_digest(cases):
+    """sha256 over the drawn cases: each case's atoms, p, n, t and z, each
+    field little-endian, so a moved digest of the results can be told
+    apart from moved cases."""
+    h = hashlib.sha256()
+    for spec, params, z in cases:
+        h.update(np.asarray(spec.values, dtype="<f8").tobytes())
+        h.update(np.array([params.p, params.n], dtype="<i8").tobytes())
+        h.update(np.array([params.t], dtype="<f8").tobytes())
+        h.update(np.array([z], dtype="<c16").tobytes())
+    return h.hexdigest()
+
+
 def _digest(points):
     """sha256 over the case indices and their points' m, zeta, residual and
     iterations, each field as one little-endian array."""
@@ -127,6 +143,7 @@ def run(name):
     both = [i for i in fixed if i in hybrid]
     gap = max((abs(fixed[i].m - hybrid[i].m) / abs(hybrid[i].m) for i in both), default=0.0)
     print(f"battery {name}: {len(cases)} cases, largest relative route gap {gap:.2e} over {len(both)} cases")
+    print(f"  cases sha256 {_case_digest(cases)}")
     for route in ROUTES:
         points, cols, wall = solved[route]
         print(
