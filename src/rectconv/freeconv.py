@@ -26,14 +26,14 @@ sums give a point the same bits in any batch, so this changes no result.
 The ladder top starts from 30 fixed-point sweeps on m from m = -1/z: for
 large t that bare guess can have Re b <= 0 or lead Newton to a wrong
 root, and the sweeps reach the Re b > 0 branch.  From there the same
-sweeps, run straight at z, make the independent cross-check route.  Their
-map m -> b m_v(zeta(m)), zeta = b^2 z - b t (1-c), runs on the same
-atom-sum kernel, and each sweep maps only the points that have not yet
-converged.  A sweep takes the secant step on the residual f(m) - m
-(Anderson acceleration of depth 1) where it is safe and a damped step
-elsewhere, so the route uses map values only.  At z a point stops once
-its update meets 0.01 tol and its residual |Phi(zeta(m)) - z|, read from
-the same atom-sum pass, meets 0.9 tol, or after max_iterations sweeps.
+sweeps, run straight at z, make the independent cross-check route.  Every
+sweep reads its map value m -> b m_v(zeta(m)), zeta = b^2 z - b t (1-c),
+and its residual |Phi(zeta(m)) - z| from one _phi pass, and maps only the
+points that have not yet converged.  A sweep takes the secant step on the
+residual f(m) - m (Anderson acceleration of depth 1) where it is safe and
+a damped step elsewhere, so the route uses map values only.  At z a point
+stops once its residual meets 0.9 tol and either its update meets
+0.01 tol or the update no longer falls, or after max_iterations sweeps.
 Every point takes its own sweeps, so no point's result depends on its
 batch.  All entry points accept arrays of evaluation points and solve
 them in lockstep.
@@ -163,33 +163,25 @@ class SolverError(RuntimeError):
 # solver kernels (no atom-collision guard; for points off the real axis)
 
 
-def _fp_map(d, c, t, z_l, m):
-    """The fixed-point map m -> b m_v(zeta(m)), b = 1 + c t m.
-
-    mean 1/(d/b - b z_l + t(1-c)) = b mean 1/(d - zeta) with
-    zeta = b^2 z_l - b t (1-c), so the map is one pass of the atom-sum
-    kernel; it never forms a Newton step.
-    """
-    b = 1.0 + c * t * m
-    return b * _atom_sums(d, _zeta_from_m(c, t, z_l, m), 0)[0]
-
-
 def _fp_iterate(d, c, t, z_l, m, n_steps, tol, goal=None):
     """Fixed-point sweeps on m, each point by a secant step on the residual
     r = f(m) - m or else by a damped step.
 
-    The secant step m - r (m - m_prev) / (r - r_prev) is Anderson
-    acceleration of depth 1 on a scalar unknown: it needs only map values,
-    so the route still never forms a Newton step.  A point takes it where
-    its |r| fell since its last sweep and the step keeps Im m > 0 and
-    Re b > 0.  Otherwise the point takes the damped step m + alpha r, whose
-    alpha halves when |r| grew and grows by 1.2 when it did not.  A point
-    stops once |r| meets tol * max(1, |m|) and keeps its m from then on;
-    each sweep maps only the points still active.  With a goal, a sweep
-    reads |Phi(zeta(m)) - z_l| from the pass that gives the map value
-    (_phi), a point also needs that <= goal to stop, and one still active
-    after n_steps keeps its last mapped m.  Returns m, the sweeps each
-    point entered and |Phi(zeta(m)) - z_l| (inf without a goal).
+    Each sweep maps m -> f(m) = b m_v(zeta(m)), b = 1 + c t m and
+    zeta = b^2 z_l - b t (1-c), and reads |Phi(zeta(m)) - z_l| from the
+    same _phi pass, so the route never forms a Newton step.  The secant
+    step m - r (m - m_prev) / (r - r_prev) is Anderson acceleration of
+    depth 1 on a scalar unknown.  A point takes it where its |r| fell since
+    its last sweep and the step keeps Im m > 0 and Re b > 0.  Otherwise the
+    point takes the damped step m + alpha r, whose alpha halves when |r|
+    grew and grows by 1.2 when it did not.  A point stops once |r| meets
+    tol * max(1, |m|) and keeps its m from then on; each sweep maps only
+    the points still active.  With a goal a point also needs
+    |Phi(zeta(m)) - z_l| <= goal to stop, stops once it meets the goal and
+    its |r| did not fall since its last sweep (from then on it only stirs
+    rounding), and one still active after n_steps keeps its last mapped m.
+    Returns m, the sweeps each point entered and |Phi(zeta(m)) - z_l| (inf
+    without a goal).
     """
     k, m = m.shape[0], m.copy()
     steps, res = np.zeros(k, dtype=int), np.full(k, np.inf)
@@ -199,26 +191,24 @@ def _fp_iterate(d, c, t, z_l, m, n_steps, tol, goal=None):
     live, z_a, m_a = np.arange(k), z_l, m
     alpha, m_prev, r_prev = np.full(k, _DAMPING), m.copy(), np.full(k, np.inf, dtype=complex)
     for sweep in range(n_steps):
-        if goal is None:
-            r, met = _fp_map(d, c, t, z_a, m_a) - m_a, True
-        else:
-            ph, mv = _phi(d, c, t, _zeta_from_m(c, t, z_a, m_a))
-            r, res_a = (1.0 + c * t * m_a) * mv - m_a, np.abs(ph - z_a)
-            res[live], met = res_a, res_a <= goal
-        delta = np.abs(r)
-        hit = (delta <= tol * np.maximum(1.0, np.abs(m_a))) & met
+        ph, mv = _phi(d, c, t, _zeta_from_m(c, t, z_a, m_a))
+        r = (1.0 + c * t * m_a) * mv - m_a
+        delta, delta_prev = np.abs(r), np.abs(r_prev)
+        hit = delta <= tol * np.maximum(1.0, np.abs(m_a))
+        if goal is not None:
+            res[live] = res_a = np.abs(ph - z_a)
+            hit = (hit | (delta >= delta_prev)) & (res_a <= goal)
         if hit.any():
             stop = live[hit]
             steps[stop], m[stop] = sweep + 1, m_a[hit]
             keep = ~hit
             live, z_a, m_a, r, delta = live[keep], z_a[keep], m_a[keep], r[keep], delta[keep]
-            alpha, m_prev, r_prev = alpha[keep], m_prev[keep], r_prev[keep]
+            alpha, m_prev, r_prev, delta_prev = alpha[keep], m_prev[keep], r_prev[keep], delta_prev[keep]
             if live.size == 0:
                 break
         if goal is not None and sweep == n_steps - 1:
             break  # keep the m whose residual was read
         # dr != 0 where |r| fell, and a zero dm (the first sweep) gives no step
-        delta_prev = np.abs(r_prev)
         dm, dr = m_a - m_prev, r - r_prev
         near = (delta < delta_prev) & (dm != 0)
         secant = m_a - r * dm / np.where(near, dr, 1.0)
@@ -396,8 +386,8 @@ def _solve_grid(spec, params, z, cfg, method):
         )
 
     if method == "fixed_point":
-        # the sweeps go straight to z: a point stops once its update meets
-        # 0.01 tol and |Phi(zeta(m)) - z| meets 0.9 tol
+        # the sweeps go straight to z: a point stops once |Phi(zeta(m)) - z|
+        # meets 0.9 tol and its update meets 0.01 tol or no longer falls
         m, used, residual = _fp_iterate(d, c, t, z, m, cfg.max_iterations, 0.01 * cfg.tolerance, 0.9 * cfg.tolerance)
         iters += used
         zeta = _zeta_from_m(c, t, z, m)

@@ -173,7 +173,7 @@ def in_domain(
     floor = float(n) ** vartheta
     main = (
         lam - 0.375 * lam <= E
-        and (vartheta > 0 and E <= lam + t * t / vartheta)
+        and E <= lam + t * t / vartheta
         and n * eta * (t + np.sqrt(kappa + eta)) >= floor
     )
     outside = (

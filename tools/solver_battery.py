@@ -8,11 +8,11 @@ file sits in, so a copy of this file in another checkout measures that
 tree.  Each case is solved once by method="hybrid" and once by
 method="fixed_point".  Per battery and route the script prints the solved
 and failed counts, the largest relative gap |m_fixed - m_hybrid| / |m_hybrid|
-over the cases both routes solve, the _fp_map and _phi columns evaluated
-(one column is one point through the atom-sum kernel: _fp_map columns are
-the ladder-top start sweeps that both routes share, _phi columns the
-Newton ladder's evaluations and the fixed-point route's sweeps at z, which
-read the residual from the same pass), the wall time, the solved case with
+over the cases both routes solve, the _phi columns evaluated (one column
+is one point through _phi's atom-sum pass: the ladder-top start sweeps that
+both routes share, then the Newton ladder's evaluations or the fixed-point
+route's sweeps at z; every sweep reads its map value and its residual from
+one such pass), the wall time, the solved case with
 the most iterations and a sha256 digest of the solved cases' indices and
 their m, zeta, residual and iterations (two trees that solve alike print
 the same digest), then one line per failed case.  Each battery also
@@ -111,23 +111,19 @@ def _digest(points):
 
 def run(name):
     cases = list(BATTERIES[name]())
-    columns = {"_fp_map": 0, "_phi": 0}
-    real_map, real_phi = freeconv._fp_map, freeconv._phi
-
-    def counting_map(d, c, t, z_l, m):
-        columns["_fp_map"] += z_l.size
-        return real_map(d, c, t, z_l, m)
+    columns = [0]
+    real_phi = freeconv._phi
 
     def counting_phi(d, c, t, zeta, order=0):
-        columns["_phi"] += zeta.size
+        columns[0] += zeta.size
         return real_phi(d, c, t, zeta, order)
 
     solved = {}
     failures = []
-    freeconv._fp_map, freeconv._phi = counting_map, counting_phi
+    freeconv._phi = counting_phi
     try:
         for route in ROUTES:
-            columns.update(_fp_map=0, _phi=0)
+            columns[0] = 0
             t0 = time.perf_counter()
             points = {}
             for i, (spec, params, z) in enumerate(cases):
@@ -135,9 +131,9 @@ def run(name):
                     points[i] = solve_point(spec, params, z, method=route)
                 except SolverError as exc:
                     failures.append((route, i, params, z, exc))
-            solved[route] = (points, dict(columns), time.perf_counter() - t0)
+            solved[route] = (points, columns[0], time.perf_counter() - t0)
     finally:
-        freeconv._fp_map, freeconv._phi = real_map, real_phi
+        freeconv._phi = real_phi
 
     hybrid, fixed = solved["hybrid"][0], solved["fixed_point"][0]
     both = [i for i in fixed if i in hybrid]
@@ -148,7 +144,7 @@ def run(name):
         points, cols, wall = solved[route]
         print(
             f"  {route:<11} solved {len(points)}/{len(cases)}, failed {len(cases) - len(points)}, "
-            f"_fp_map columns {cols['_fp_map']:,}, _phi columns {cols['_phi']:,}, wall {wall:.2f} s"
+            f"_phi columns {cols:,}, wall {wall:.2f} s"
         )
         if points:
             worst = max(points, key=lambda i: points[i].iterations)
