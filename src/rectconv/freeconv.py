@@ -8,35 +8,31 @@ subordination map
 sends the subordination point zeta(z) back to z, and m = m_v/g,
 b = 1 + c t m and the companion transform are rational in m_v(zeta).
 
-Off the real axis the solver walks an eta-homotopy ladder from eta = 10
-down to Im z, each level a quarter of the one above, and at each level
-z_l solves Phi(zeta) = z_l by Newton with backtracking, kept in
-Im zeta > 0.  It is predictor-corrector continuation: each level is
-seeded from the level above by the tangent step zeta + (z_l - z_prev)/Phi'
-(reflected into Im zeta > 0) and corrected by Newton.  A level above the
-last only seeds the next one and stops at a loose residual; the last
-stops at a tighter one and is read at its Newton point
-zeta - (Phi - z)/Phi', whose residual |Phi(zeta) - z| is the solver's
-contract, and a point that misses it there is polished.  A point also
-stops once it sits at the rounding floor of Phi.  Each Newton step and
-backtracking round evaluates Phi only at the points still open in it, and
-a point whose z_l did not move keeps the level above's Phi, Phi' and m_v,
-so a level's opening pass evaluates only the points that moved; the atom
-sums give a point the same bits in any batch, so this changes no result.
-The ladder top starts from 30 fixed-point sweeps on m from m = -1/z: for
-large t that bare guess can have Re b <= 0 or lead Newton to a wrong
-root, and the sweeps reach the Re b > 0 branch.  From there the same
-sweeps, run straight at z, make the independent cross-check route.  Every
-sweep reads its map value m -> b m_v(zeta(m)), zeta = b^2 z - b t (1-c),
-and its residual |Phi(zeta(m)) - z| from one _phi pass, and maps only the
-points that have not yet converged.  A sweep takes the secant step on the
-residual f(m) - m (Anderson acceleration of depth 1) where it is safe and
-a damped step elsewhere, so the route uses map values only.  At z a point
-stops once its residual meets 0.9 tol and either its update meets
-0.01 tol or the update no longer falls, or after max_iterations sweeps.
-Every point takes its own sweeps, so no point's result depends on its
-batch.  All entry points accept arrays of evaluation points and solve
-them in lockstep.
+Off the real axis both routes start at the ladder top, the level
+z_l = E + i max(eta, 10), from up to 30 fixed-point sweeps on m from
+m = -1/z_l: for large t that bare guess can have Re b <= 0 or lead Newton
+to a wrong root, and the sweeps reach the Re b > 0 branch.  From there the
+same sweeps run straight at z.  Every sweep reads its map value
+m -> b m_v(zeta(m)), zeta = b^2 z - b t (1-c), and its residual
+|Phi(zeta(m)) - z| from one _phi pass, and maps only the points that have
+not yet converged.  A sweep takes the secant step on the residual
+f(m) - m (Anderson acceleration of depth 1) where it is safe and a damped
+step elsewhere, so the sweeps use map values only.
+
+The default (hybrid) route runs the sweeps at z to a loose update only,
+and then solves Phi(zeta) = z by Newton with backtracking, kept in
+Im zeta > 0.  Newton stops at a relative residual and is read at its
+Newton point zeta - (Phi - z)/Phi', whose residual |Phi(zeta) - z| is the
+solver's contract, and a point that misses it there is polished.  Each
+Newton step and backtracking round evaluates Phi only at the points still
+open in it.  The fixed-point route never forms a Newton step, which makes
+it the independent cross-check: at z a point stops once its residual
+meets 0.9 tol and either its update meets 0.01 tol or the update no
+longer falls, or after max_iterations sweeps.  The two routes share their
+start sweeps, and so the branch they choose.  Every point takes its own
+sweeps and steps, and the atom sums give a point the same bits in any
+batch, so no point's result depends on its batch.  All entry points
+accept arrays of evaluation points and solve them in lockstep.
 
 Real-axis densities (t > 0) come from the boundary relation Phi(zeta) = E
 with Im zeta > 0.  The support edges are Phi at the real critical points
@@ -45,7 +41,7 @@ sign of g, Phi' or Phi'' sets.  One walk follows that branch for densities
 and classical locations: each track of energies starts at a support edge
 or an accepted point and takes doubling blocks, seeded from its last
 accepted point (by the expansion of Phi at the edge, then a linear
-predictor) and solved by the ladder's last-level Newton.  A root counts only
+predictor) and solved by the off-axis route's Newton.  A root counts only
 inside the disc around its seed that reaches down to the real axis, where
 the atoms and the real roots of Phi = E lie; after a failure a track takes
 one point at a time and halves its step.  Energies outside every component
@@ -78,7 +74,6 @@ __all__ = [
     "write_density_csv",
 ]
 
-_EPS = np.finfo(float).eps
 # Support finder: grid points between consecutive atoms, and the
 # bracketed Newton's relative tolerance at the peak of Phi', which only
 # decides whether a run exists (edge._ROOT_XTOL everywhere else).  A peak
@@ -90,16 +85,14 @@ _PEAK_XTOL = 1e-8
 # Real-axis walk: the smallest E-step relative to max(1, |E|) at a
 # track's last accepted point.
 _WALK_FLOOR = 1e-12
-# Off-axis ladder: top level, ratio between levels, the fixed-point
-# sweeps' initial damping, and the sweeps that start the ladder top.
+# Off-axis start: the level eta of the ladder top, the fixed-point
+# sweeps' initial damping, and the sweeps that start there.
 _ETA_TOP = 10.0
-_LADDER_RATIO = 0.25
 _DAMPING = 0.5
 _START_SWEEPS = 30
-# Levels above the last only seed the next level: there Newton stops at
-# this residual and the start sweeps at this update, both relative.  A
-# final Newton solve stops at _NEWTON_STOP relative and is read at its
-# Newton point, whose residual is about the square of that.
+# Sweeps that only seed a Newton solve stop at this relative update.  A
+# Newton solve stops at _NEWTON_STOP relative and is read at its Newton
+# point, whose residual is about the square of that.
 _SEED_TOL = 1e-6
 _NEWTON_STOP = 1e-8
 
@@ -154,9 +147,9 @@ class SupportScan:
 
 
 class SolverError(RuntimeError):
-    """Self-consistent solve failed.  The message names the stage (ladder
-    initialization, the residual after the ladder, the density walk or an
-    invariant check) and the point E, eta or z where it failed."""
+    """Self-consistent solve failed.  The message names the stage
+    (initialization at the ladder top, the residual at z, the density walk
+    or an invariant check) and the point E, eta or z where it failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +218,6 @@ def _zeta_from_m(c, t, z_l, m):
     return b * b * z_l - b * t * (1.0 - c)
 
 
-def _rounding_floor(p, c, t, zeta, mv):
-    """Rounding level of Phi(zeta) = zeta g^2 + (1-c) t g, g = 1 - c t m_v:
-    the rounding of its terms, plus that of g carried by dPhi/dg, where
-    the p-term sum behind m_v is taken to err by sqrt(p) eps |m_v|."""
-    g = 1.0 - c * t * mv
-    ag = np.abs(g)
-    err_g = 1.0 + np.sqrt(p) * c * t * np.abs(mv)
-    dphi_dg = np.abs(2.0 * zeta * g + (1.0 - c) * t)
-    return _EPS * (np.abs(zeta) * ag * ag + (1.0 - c) * t * ag + dphi_dg * err_g)
-
-
 def _newton_point(d, c, t, z_l, zeta, F, dph):
     """(zeta*, Phi - z_l, m_v) at the Newton point zeta* = zeta - F / Phi',
     from one order-0 atom-sum pass: where |F| is small the residual there
@@ -245,63 +227,40 @@ def _newton_point(d, c, t, z_l, zeta, F, dph):
     return zeta, ph - z_l, mv
 
 
-def _newton_level(d, c, t, z_l, zeta, tol, max_iter, held=None):
+def _newton_level(d, c, t, z_l, zeta, tol, max_iter):
     """Newton on Phi(zeta) = z_l for a batch of points, with backtracking.
 
-    z_l is a ladder level off the axis or an energy of the density walk.
-    A step is taken only where it lowers |Phi - z_l| and keeps Im zeta > 0.
-    With tol None the level only seeds the next one, and a point stops at
-    |Phi - z_l| <= _SEED_TOL min(1, |z_l|).  Otherwise it stops at
-    _NEWTON_STOP min(1, |z_l|) and is read at its Newton point
+    z_l is the evaluation point z off the axis or an energy of the density
+    walk.  A step is taken only where it lowers |Phi - z_l| and keeps
+    Im zeta > 0.  A point stops at |Phi - z_l| <= _NEWTON_STOP min(1, |z_l|),
+    or once no backtracked step lowers it, and is read at its Newton point
     (_newton_point); a point whose read misses |Phi - z_l| <= tol there
-    goes on to 0.1 tol min(1, |z_l|) and is read again.  A point also stops
-    once two iterates in a row have |Phi - z_l| at the rounding floor of
-    Phi at their zeta; the floor is tracked only while some point's stop
-    lies below it.  The steps share one budget of max_iter.
+    goes on to 0.1 tol min(1, |z_l|) and is read again.  The steps share
+    one budget of max_iter.
 
     Each Newton step and each backtracking round evaluates _phi only on
     the points still open in it, and scatters the results back; _atom_sums
     gives a point the same bits in any batch, so no point's result depends
-    on which others are evaluated with it.  held = (known, F, Phi', m_v)
-    gives Phi - z_l, Phi' and m_v at zeta for the points in the mask known,
-    which the opening pass then skips.  Returns zeta, the per-point
+    on which others are evaluated with it.  Returns zeta, the per-point
     iterations, and Phi - z_l, Phi' and m_v: at the Newton point where its
     residual is no larger than the last iterate's, and Phi' always at the
     last iterate.  A point counts the steps it entered neither converged
     nor stuck.
     """
     # relative below |z| = 1: near the hard edge z -> 0, g ~ sqrt(|z|)
-    # and an absolute stop leaves m short of its digits.  There the stop
-    # can fall below the rounding floor, where the backtracking still
-    # finds a hair of improvement in the noise at every step
+    # and an absolute stop leaves m short of its digits
     scale = np.minimum(1.0, np.abs(z_l))
-    target = (_SEED_TOL if tol is None else _NEWTON_STOP) * scale
+    target = _NEWTON_STOP * scale
     zeta = zeta.copy()
-    if held is None:
-        ph, dph, mv = _phi(d, c, t, zeta, 1)
-        F = ph - z_l
-    else:
-        known, F, dph, mv = (a.copy() for a in held)
-        if (fresh := np.flatnonzero(~known)).size:
-            ph, dph[fresh], mv[fresh] = _phi(d, c, t, zeta[fresh], 1)
-            F[fresh] = ph - z_l[fresh]
+    ph, dph, mv = _phi(d, c, t, zeta, 1)
+    F = ph - z_l
     absF = np.abs(F)
     used = np.zeros(zeta.shape[0], dtype=int)
     stuck = np.zeros(zeta.shape[0], dtype=bool)
     budget, read, rows = max_iter, np.ones(zeta.shape[0], dtype=bool), None
     for polish in (False, True):
-        # the floor lies far below the stop on the theory fixture, and
-        # tracking it would cost a 12-point solve about a fifth of its
-        # time; settled marks an iterate after one at the floor
-        floor = _rounding_floor(d.size, c, t, zeta, mv) if (absF > target).any() else target
-        track = bool((floor > target).any())
-        at_floor, settled = np.zeros((2, zeta.shape[0]), dtype=bool)
         while budget:
-            done = absF <= target
-            if track:
-                at_floor = absF <= floor
-                done |= at_floor & settled
-            act = np.flatnonzero(~(done | stuck))
+            act = np.flatnonzero(~((absF <= target) | stuck))
             if act.size == 0:
                 break
             budget -= 1
@@ -327,12 +286,7 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter, held=None):
             took = act[better]
             zeta[took], F[took], absF[took] = cand[better], Fc[better], absFc[better]
             dph[took], mv[took] = dphc[better], mvc[better]
-            if track:
-                settled[took] = at_floor[took]
-                floor[took] = _rounding_floor(d.size, c, t, cand[better], mvc[better])
             stuck[act[~better]] = True
-        if tol is None:
-            return zeta, used, F, dph, mv
         at = _newton_point(d, c, t, z_l[read], zeta[read], F[read], dph[read])
         keep = (np.abs(at[1]) <= absF[read]) & (at[0].imag > 0)
         rows = rows or [zeta.copy(), F.copy(), mv.copy()]
@@ -344,16 +298,6 @@ def _newton_level(d, c, t, z_l, zeta, tol, max_iter, held=None):
         # polish the misses; the rest stay idle
         target, read = np.where(miss, 0.1 * tol * scale, np.inf), miss
     return rows[0], used, rows[1], dph, rows[2]
-
-
-def _ladder(eta_floor: float) -> list:
-    levels = []
-    e = _ETA_TOP
-    while e > eta_floor:
-        levels.append(e)
-        e *= _LADDER_RATIO
-    levels.append(0.0)  # final level pins the exact targets
-    return levels
 
 
 def _solve_grid(spec, params, z, cfg, method):
@@ -371,18 +315,17 @@ def _solve_grid(spec, params, z, cfg, method):
         return mv, np.ones_like(mv), z.copy(), m_under, np.zeros(z.shape[0]), np.zeros(z.shape[0], dtype=int)
 
     eta_t = z.imag
-    levels = _ladder(eta_t.min())
     E = z.real
 
-    # initial state at the top of the ladder, shared by both routes
-    z_l = E + 1j * np.maximum(eta_t, levels[0])
+    # initial state at the ladder top, shared by both routes
+    z_l = E + 1j * np.maximum(eta_t, _ETA_TOP)
     m, iters, _ = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, _SEED_TOL)
     re_b = (1.0 + c * t * m).real
     if np.any(re_b <= 0):
         j = int(np.argmin(re_b))
         raise SolverError(
             f"initialization lost the Re b > 0 branch (Re b = {re_b[j]:.3e}) "
-            f"at ladder top eta={levels[0]:.3g}, E={E[j]:.17g}, eta={eta_t[j]:.3g}"
+            f"at ladder top eta={_ETA_TOP:.3g}, E={E[j]:.17g}, eta={eta_t[j]:.3g}"
         )
 
     if method == "fixed_point":
@@ -392,23 +335,11 @@ def _solve_grid(spec, params, z, cfg, method):
         iters += used
         zeta = _zeta_from_m(c, t, z, m)
     else:
-        zeta, z_prev, dph, held = _zeta_from_m(c, t, z_l, m), z_l, None, None
-        for eta_level in levels:
-            z_l = E + 1j * np.maximum(eta_t, eta_level)
-            last = eta_level == levels[-1]
-            if dph is not None:
-                # tangent predictor along the path z_l -> zeta(z_l), reflected
-                # into Im zeta > 0 (a point whose z_l did not move gets a zero
-                # step); one that lands on the real axis keeps its zeta
-                pred = zeta + (z_l - z_prev) / dph
-                pred = np.where(pred.imag != 0, pred.real + 1j * np.abs(pred.imag), zeta)
-                # a point whose z_l and zeta did not move keeps the level
-                # above's Phi - z_l, Phi' and m_v, which that level left at zeta
-                held, zeta = ((z_l == z_prev) & (pred == zeta), F, dph, mv), pred
-            zeta, used, F, dph, mv = _newton_level(d, c, t, z_l, zeta, cfg.tolerance if last else None, cfg.max_iterations, held)
-            iters += used
-            z_prev = z_l
-        # the last level's target z_l is z itself
+        # the same sweeps go on at z to the seed update, and one Newton
+        # solve at z finishes from there
+        m, used, _ = _fp_iterate(d, c, t, z, m, cfg.max_iterations, _SEED_TOL)
+        zeta, steps, F, _, mv = _newton_level(d, c, t, z, _zeta_from_m(c, t, z, m), cfg.tolerance, cfg.max_iterations)
+        iters += used + steps
         residual = np.abs(F)
         m = mv / (1.0 - c * t * mv)
     b = 1.0 + c * t * m
@@ -416,7 +347,7 @@ def _solve_grid(spec, params, z, cfg, method):
     if np.any(residual > cfg.tolerance):
         j = int(np.argmax(residual))
         raise SolverError(
-            f"residual {residual[j]:.3e} exceeds tolerance after ladder "
+            f"residual {residual[j]:.3e} exceeds tolerance "
             f"at E={z[j].real:.17g}, eta={z[j].imag:.3g}"
         )
     return m, b, zeta, m_under, residual, iters
@@ -459,11 +390,12 @@ def solve_point(
 ) -> ConvolutionPoint:
     """Solve the self-consistent equation at one point with Im z > 0.
 
-    method selects the route: "hybrid" (default) starts the ladder top
-    with damped fixed-point sweeps and solves every level by Newton;
-    "fixed_point" runs the sweeps on from the ladder top straight at z and
-    never forms a Newton step, which makes it an independent cross-check
-    of the default.
+    method selects the route.  Both start with fixed-point sweeps at the
+    ladder top, eta = max(Im z, 10), and run them on straight at z.
+    "hybrid" (default) stops them at a loose update and finishes with one
+    Newton solve at z; "fixed_point" runs them to the tolerance and never
+    forms a Newton step, which makes it an independent cross-check of the
+    default.
     """
     return solve_many(spec, params, [z], cfg, method)[0]
 
@@ -553,7 +485,7 @@ def _support(d, c, t, edge):
 
     def on_g(x):
         s = _atom_sums(d, x, 1)
-        return 1.0 - c * t * s[0], -c * t * s[1], c * t * s[0] < 1.0
+        return 1.0 - c * t * s[0], -c * t * s[1], c * t * s[0] <= 1.0
 
     def slope(x):
         return _phi(d, c, t, x, 1)[1]

@@ -390,7 +390,7 @@ def test_bad_noise_kind(tmp_path, capsys):
 
 
 def test_unknown_solver_key(tmp_path, capsys):
-    # the ladder's constants are not config keys, not even at their values
+    # the solver's own constants are not config keys, not even at their values
     for key, value in (("newton", True), ("eta_start", 10.0), ("homotopy_factor", 0.7), ("damping", 0.5)):
         cfg = _write_config(tmp_path, solver={key: value})
         assert main(["edge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -60,8 +60,8 @@ def test_solve_point_mp_quadratic_oracle(mp_unit):
 )
 def test_solve_point_large_t_mp_closed_form(t, z):
     # all-zero d at c = 1: m(z) = m_MP(z/t)/t.  For t this large the bare
-    # start m = -1/z at the ladder top has Re b <= 0, or leads Newton to a
-    # wrong root; the start-up fixed-point sweeps are what reach the branch
+    # start m = -1/z at eta = 10 has Re b <= 0, or leads Newton to a wrong
+    # root; the start-up fixed-point sweeps are what reach the branch
     spec, params = make_spectrum(np.zeros(50)), ModelParams(p=50, n=50, t=t)
     pt = solve_point(spec, params, z)
     npt.assert_allclose(pt.m, mp_m_oracle(z / t) / t, rtol=1e-10)
@@ -177,7 +177,7 @@ def test_fp_map_matches_direct_formula(n):
 def test_fixed_point_batch_matches_points_alone(canonical_small):
     # every point gets the bits it gets alone.  The second batch mixes eta
     # from 1e-3 to 20: the 20 point starts its sweeps at z itself, the
-    # others at the ladder top eta = 10.  The third is seed-1 battery case
+    # others at eta = 10.  The third is seed-1 battery case
     # 280 (18 iterations) with a partner at half its E (14 iterations),
     # which finish apart in one sweep loop
     spec, params, z = _mixed_batch(canonical_small)
@@ -235,47 +235,11 @@ def test_fixed_point_route_work_and_agreement(monkeypatch):
 
 
 def test_hybrid_route_work(monkeypatch):
-    # each Newton step and backtracking round evaluates _phi only on the
-    # points still open in it, and a level's opening pass skips the points
-    # whose z_l did not move: 831 columns with the levels above the last
-    # stopped at a seed residual and the last read at its Newton point
-    # (1,280 when every step evaluated all 64 points; 6,144 on the 0.7
-    # ladder without a predictor).  The ladder-top start sweeps' 192
-    # columns are not ladder work and are not counted
+    # the hybrid route is the fixed-point sweeps to a loose update, then one
+    # Newton solve at z whose steps and backtracking rounds evaluate _phi
+    # only on the points still open in them: 762 columns in all, the
+    # ladder-top start sweeps' 192 included (1,023 on the eta ladder)
     spec, params, z = _theory_grid()
-    columns = []
-    real_phi, real_sweeps = freeconv._phi, freeconv._fp_iterate
-
-    def counting(d, c, t, zeta, order=0):
-        columns.append(zeta.size)
-        return real_phi(d, c, t, zeta, order)
-
-    def start_sweeps(*args):
-        before = len(columns)
-        out = real_sweeps(*args)
-        del columns[before:]
-        return out
-
-    monkeypatch.setattr(freeconv, "_phi", counting)
-    monkeypatch.setattr(freeconv, "_fp_iterate", start_sweeps)
-    solve_many(spec, params, z)
-    assert sum(columns) <= 900
-
-
-def test_newton_level_steps_only_live_points(monkeypatch):
-    # energies below the edge of the theory fixture: the even ones seeded at
-    # the zeta a seed-level solve returns, so they are done on arrival, the
-    # odd ones by the edge expansion.  After the opening pass no _phi call
-    # takes more than the live points, and every point gets what it gets in
-    # a call of its own; points passed in held skip the opening pass too
-    spec, params = _theory_fixture()
-    edge = find_right_edge(spec, params)
-    d, c, t = spec.values, params.c_n, params.t
-    x = np.geomspace(1e-3, 1.0, 10)
-    E, seed = edge.lambda_plus - x, edge.zeta_plus + 1j * np.sqrt(2.0 * x / edge.phi_second)
-    solved = freeconv._newton_level(d, c, t, E, seed, None, 200)
-    known = np.arange(E.size) % 2 == 0
-    seed = np.where(known, solved[0], seed)
     columns = []
     real_phi = freeconv._phi
 
@@ -284,15 +248,39 @@ def test_newton_level_steps_only_live_points(monkeypatch):
         return real_phi(d, c, t, zeta, order)
 
     monkeypatch.setattr(freeconv, "_phi", counting)
-    batch = freeconv._newton_level(d, c, t, E, seed, None, 200)
-    assert columns[0] == E.size and max(columns[1:]) <= np.count_nonzero(~known)
+    solve_many(spec, params, z)
+    assert sum(columns) <= 900
+
+
+def test_newton_level_steps_only_live_points(monkeypatch):
+    # energies below the edge of the theory fixture: the even ones seeded at
+    # the zeta a solve of their own returns, so they are done on arrival,
+    # the odd ones by the edge expansion.  After the opening pass no Newton
+    # step or backtracking round takes more than the live points, the
+    # Newton-point read takes every point once, and every point gets what
+    # it gets in a call of its own
+    spec, params = _theory_fixture()
+    edge = find_right_edge(spec, params)
+    d, c, t = spec.values, params.c_n, params.t
+    x = np.geomspace(1e-3, 1.0, 10)
+    E, seed = edge.lambda_plus - x, edge.zeta_plus + 1j * np.sqrt(2.0 * x / edge.phi_second)
+    solved = freeconv._newton_level(d, c, t, E, seed, 1e-12, 200)
+    known = np.arange(E.size) % 2 == 0
+    seed = np.where(known, solved[0], seed)
+    columns = []
+    real_phi = freeconv._phi
+
+    def counting(d, c, t, zeta, order=0):
+        columns.append((zeta.size, order))
+        return real_phi(d, c, t, zeta, order)
+
+    monkeypatch.setattr(freeconv, "_phi", counting)
+    batch = freeconv._newton_level(d, c, t, E, seed, 1e-12, 200)
+    assert columns[0] == (E.size, 1) and columns[-1] == (E.size, 0)
+    assert max(size for size, _ in columns[1:-1]) <= np.count_nonzero(~known)
     assert np.all(batch[1][known] == 0) and np.all(batch[1][~known] > 0)
-    held = (known, *(np.where(known, row, np.nan) for row in batch[2:]))
-    columns.clear()
-    assert all(np.array_equal(a, b) for a, b in zip(freeconv._newton_level(d, c, t, E, seed, None, 200, held), batch))
-    assert columns[0] == np.count_nonzero(~known)
     for i in range(E.size):
-        alone = freeconv._newton_level(d, c, t, E[i : i + 1], seed[i : i + 1], None, 200)
+        alone = freeconv._newton_level(d, c, t, E[i : i + 1], seed[i : i + 1], 1e-12, 200)
         assert all(a.tobytes() == b[i : i + 1].tobytes() for a, b in zip(alone, batch))
 
 
@@ -408,13 +396,18 @@ def test_seed_1_worst_route_gap_is_the_hybrids():
     # read at the last Newton iterate, where |dm/dz| times the residual
     # left it.  Read at the Newton point, the error there is 1.8e-14.
     # Cases 269 and 280 are the slow fixed-point cases: with the secant
-    # step capped, case 269's fixed-point m was 2.95e-13 from the root
+    # step capped, case 269's fixed-point m was 2.95e-13 from the root.
+    # Cases 81 and 402 check the hybrid only: its m was 1.20e-13 from the
+    # root at case 81 while it walked the eta ladder, and case 402 is its
+    # worst case since it seeds Newton at z from the sweeps (9.95e-14).
+    # The fixed-point route is 1.08e-13 off at case 402
     mp = pytest.importorskip("mpmath")
-    cases = _seed_1_battery_cases((251, 269, 280))
-    for i, E in ((251, 0.6596819291484486), (269, 12.32311703759688), (280, 39.559329334800125)):
+    cases = _seed_1_battery_cases((81, 251, 269, 280, 402))
+    both = {251: 0.6596819291484486, 269: 12.32311703759688, 280: 39.559329334800125}
+    hybrid_only = {81: 3.0923774652457423, 402: 1.6883108236769608}
+    for i, E in {**both, **hybrid_only}.items():
         spec, params, z = cases[i]
         assert z.real == pytest.approx(E, rel=1e-14)
-        fixed = solve_point(spec, params, z, method="fixed_point").m
         hybrid = solve_point(spec, params, z).m
         with mp.workdps(50):
             d = [mp.mpf(float(x)) for x in spec.values]
@@ -425,9 +418,11 @@ def test_seed_1_worst_route_gap_is_the_hybrids():
                 zeta = b * b * zz - b * t * (1 - c)
                 return b * mp.fsum(1 / (x - zeta) for x in d) / len(d) - m
 
-            exact = complex(mp.findroot(residual, mp.mpc(fixed.real, fixed.imag)))
-        assert abs(fixed - exact) <= 1e-13 * abs(exact)
+            exact = complex(mp.findroot(residual, mp.mpc(hybrid.real, hybrid.imag)))
         assert abs(hybrid - exact) <= 1e-13 * abs(exact)
+        if i in both:
+            fixed = solve_point(spec, params, z, method="fixed_point").m
+            assert abs(fixed - exact) <= 1e-13 * abs(exact)
 
 
 def test_phi_inverts_subordination(canonical_small):
@@ -472,7 +467,7 @@ def test_density_mp_closed_form(mp_unit):
 def test_density_curve_matches_pointwise(canonical_small, mp_unit):
     # a single point walks from the edge on its own path; a curve reaches
     # it from its neighbour: both must land on the same root.  The MP and
-    # gapped cases add points handed to the ladder and points above the edge
+    # gapped cases add points outside the support and above the edge
     gapped = make_spectrum([2.0] * 20 + [0.5] * 20), ModelParams(p=40, n=400, t=0.05)
     cases = [
         (canonical_small, np.linspace(0.3, 1.6, 7)),
@@ -499,8 +494,8 @@ def test_density_diagnostics_fields(canonical_small):
     assert info["iterations"][1] == 0
 
 
-def _ladder_density(spec, params, E):
-    # an independent reference off the real axis: the eta ladder at
+def _off_axis_density(spec, params, E):
+    # an independent reference off the real axis: the off-axis solve at
     # eta = 1e-7 and 5e-8, extrapolated to eta = 0
     eta_hi, eta_lo = 1e-7, 5e-8
     cfg = SolverConfig()
@@ -534,12 +529,13 @@ def test_density_hard_edge_closed_form():
     npt.assert_allclose([density(spec, params, e) for e in E], exact, rtol=1e-8)
 
 
-def test_density_hard_edge_stops_at_the_rounding_floor():
-    # near the hard edge the relative target lies below the rounding floor
-    # of Phi, so a point stops once two iterates in a row sit at the floor;
-    # run to the target, these points took 51, 10, 11, 121 and 200 steps
-    # (the whole budget).  The first point's count includes the walk's
-    # failed attempt and intermediate energy on its way down from the edge
+def test_density_hard_edge_takes_few_steps():
+    # near the hard edge a point stops at the relative Newton stop
+    # 1e-8 min(1, E), far above the rounding floor of Phi, and is read at
+    # its Newton point; run to a relative target below that floor, these
+    # points once took 51, 10, 11, 121 and 200 steps (the whole budget).
+    # The first point's count includes the walk's failed attempt and
+    # intermediate energy on its way down from the edge
     spec, params = make_spectrum(np.zeros(100)), ModelParams(p=100, n=100, t=1.0)
     E = np.array([1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
     _, diag = density_diagnostics(spec, params, E)
@@ -549,9 +545,9 @@ def test_density_hard_edge_stops_at_the_rounding_floor():
 
 
 def test_density_walk_matches_ladder(canonical_small):
-    # inside the support the walk agrees with the off-axis ladder; outside
+    # inside the support the walk agrees with the off-axis solve; outside
     # it (left of the support, at and above the edge) the density is exactly
-    # 0 where the ladder reads rounding noise
+    # 0 where the off-axis solve reads rounding noise
     spec, params = canonical_small
     edge = find_right_edge(spec, params)
     ((left, right),) = support_scan(spec, params, -0.5, edge.lambda_plus + 0.2, 0.1).intervals
@@ -560,7 +556,7 @@ def test_density_walk_matches_ladder(canonical_small):
     rho = density_curve(spec, params, E)
     inside = (E > left) & (E < right)
     assert np.all(rho[inside] > 0) and np.all(rho[~inside] == 0.0)
-    ref = _ladder_density(spec, params, E)
+    ref = _off_axis_density(spec, params, E)
     close = inside & (E < edge.lambda_plus - 1e-4)
     npt.assert_allclose(rho[close], ref[close], rtol=1e-8)
     npt.assert_allclose(rho[~inside], ref[~inside], rtol=0, atol=1e-12)
@@ -580,7 +576,7 @@ def test_density_walks_every_gapped_component():
     assert np.all(rho[inside] > 0) and np.all(info["iterations"][inside] >= 1)
     assert np.all(rho[~inside] == 0.0) and np.all(info["iterations"][~inside] == 0)
     assert np.any(rho[E < 0.9] > 0.1)
-    npt.assert_allclose(rho, _ladder_density(spec, params, E), rtol=1e-8, atol=1e-10)
+    npt.assert_allclose(rho, _off_axis_density(spec, params, E), rtol=1e-8, atol=1e-10)
 
 
 def test_density_walk_keeps_its_branch_near_the_atoms():
@@ -595,7 +591,7 @@ def test_density_walk_keeps_its_branch_near_the_atoms():
     intervals = support_scan(spec, params, 0.0, edge.lambda_plus + 1.0, 0.1).intervals
     inside = np.any([(E > a) & (E < b) for a, b in intervals], axis=0)
     assert len(intervals) == 18 and np.all(rho[~inside] == 0.0)
-    npt.assert_allclose(rho[inside], _ladder_density(spec, params, E[inside]), rtol=1e-6)
+    npt.assert_allclose(rho[inside], _off_axis_density(spec, params, E[inside]), rtol=1e-6)
 
 
 def _walk_grid(spec, params):
@@ -789,6 +785,35 @@ def test_support_lowest_edge_past_a_plateau_of_g():
     run = np.flatnonzero((1.0 - t * mv > 0) & (slope > 0))
     assert run[0] == 0 and np.all(np.diff(run) == 1)
     assert abs(ph[run[-1]] - comps[0, 0]) <= 1e-16
+
+
+@pytest.mark.parametrize("atoms, t, solve", [(np.ones(20), 0.99, slice(None)), (np.r_[np.ones(19), 1.5], 0.9, 0)])
+def test_support_zero_of_g_does_not_creep(monkeypatch, atoms, t, solve):
+    # c = 1 and x_g near 0, where 1 - x is coarser than x: g rounds to
+    # exactly 0 over dozens of floats.  Where the sign test was g > 0 an
+    # iterate there was on the false side with a zero step and crept one
+    # float an evaluation: all of _support's bracketed solves took 70
+    # evaluations (53 of them on x_g) in the first case, and the x_g solve
+    # 67 in the second.  With g >= 0 such an iterate ends the solve; here
+    # 18 and 13
+    spec, params = make_spectrum(atoms), ModelParams(p=20, n=20, t=t)
+    edge = find_right_edge(spec, params)
+    evals = []
+    real_newton = freeconv._bracketed_newton
+
+    def counting(fun, lo, hi, xtol, *args, **kw):
+        evals.append(0)
+
+        def counted(x, *a):
+            evals[-1] += 1
+            return fun(x, *a)
+
+        return real_newton(counted, lo, hi, xtol, *args, **kw)
+
+    monkeypatch.setattr(freeconv, "_bracketed_newton", counting)
+    comps = freeconv._support(spec.values, params.c_n, params.t, edge)
+    assert comps.shape[0] == 1 and comps[0, 0] > 0
+    assert np.sum(evals[solve]) <= 24
 
 
 def test_support_settled_peak_at_c_one(monkeypatch):

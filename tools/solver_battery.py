@@ -8,11 +8,12 @@ file sits in, so a copy of this file in another checkout measures that
 tree.  Each case is solved once by method="hybrid" and once by
 method="fixed_point".  Per battery and route the script prints the solved
 and failed counts, the largest relative gap |m_fixed - m_hybrid| / |m_hybrid|
-over the cases both routes solve, the _phi columns evaluated (one column
-is one point through _phi's atom-sum pass: the ladder-top start sweeps that
-both routes share, then the Newton ladder's evaluations or the fixed-point
-route's sweeps at z; every sweep reads its map value and its residual from
-one such pass), the wall time, the solved case with
+over the cases both routes solve and the case where it lies, the _phi
+passes and columns evaluated (a pass is one _phi call; one column is one
+point through its atom-sum pass: the ladder-top start sweeps that both
+routes share, then the hybrid's sweeps at z and its Newton solve there or
+the fixed-point route's sweeps at z; every sweep reads its map value and
+its residual from one such pass), the wall time, the solved case with
 the most iterations and a sha256 digest of the solved cases' indices and
 their m, zeta, residual and iterations (two trees that solve alike print
 the same digest), then one line per failed case.  Each battery also
@@ -111,11 +112,12 @@ def _digest(points):
 
 def run(name):
     cases = list(BATTERIES[name]())
-    columns = [0]
+    work = [0, 0]  # _phi passes and columns
     real_phi = freeconv._phi
 
     def counting_phi(d, c, t, zeta, order=0):
-        columns[0] += zeta.size
+        work[0] += 1
+        work[1] += zeta.size
         return real_phi(d, c, t, zeta, order)
 
     solved = {}
@@ -123,7 +125,7 @@ def run(name):
     freeconv._phi = counting_phi
     try:
         for route in ROUTES:
-            columns[0] = 0
+            work[:] = 0, 0
             t0 = time.perf_counter()
             points = {}
             for i, (spec, params, z) in enumerate(cases):
@@ -131,20 +133,22 @@ def run(name):
                     points[i] = solve_point(spec, params, z, method=route)
                 except SolverError as exc:
                     failures.append((route, i, params, z, exc))
-            solved[route] = (points, columns[0], time.perf_counter() - t0)
+            solved[route] = (points, *work, time.perf_counter() - t0)
     finally:
         freeconv._phi = real_phi
 
     hybrid, fixed = solved["hybrid"][0], solved["fixed_point"][0]
     both = [i for i in fixed if i in hybrid]
-    gap = max((abs(fixed[i].m - hybrid[i].m) / abs(hybrid[i].m) for i in both), default=0.0)
-    print(f"battery {name}: {len(cases)} cases, largest relative route gap {gap:.2e} over {len(both)} cases")
+    gaps = {i: abs(fixed[i].m - hybrid[i].m) / abs(hybrid[i].m) for i in both}
+    worst = max(gaps, key=gaps.get, default=None)
+    at = f" at case {worst}" if worst is not None else ""
+    print(f"battery {name}: {len(cases)} cases, largest relative route gap {gaps.get(worst, 0.0):.2e}{at} over {len(both)} cases")
     print(f"  cases sha256 {_case_digest(cases)}")
     for route in ROUTES:
-        points, cols, wall = solved[route]
+        points, passes, cols, wall = solved[route]
         print(
             f"  {route:<11} solved {len(points)}/{len(cases)}, failed {len(cases) - len(points)}, "
-            f"_phi columns {cols:,}, wall {wall:.2f} s"
+            f"_phi passes {passes:,}, columns {cols:,}, wall {wall:.2f} s"
         )
         if points:
             worst = max(points, key=lambda i: points[i].iterations)
