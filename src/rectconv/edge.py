@@ -150,12 +150,13 @@ def _bracketed_newton(fun, lo, hi, xtol, *args, start=None):
     The first x is start, or the midpoint where start is None or outside
     the open bracket.  A step that leaves the bracket is replaced by
     bisection.  So lo and hi themselves are never evaluated (while a float
-    lies between them), and an end where fun is singular is safe.  A point stops once holds is true and its step is below
-    xtol relative, or once its bracket is that narrow; a small step from
-    the false side is doubled, to land past the root.  A zero step there
-    moves one float, so more than _CREEP_CAP of them in a row (a plateau
-    where f rounds to 0) bisect.  Returns each point's last x where holds
-    is true, so the bracket contracts of the callers stay true.
+    lies between them), and an end where fun is singular is safe.  A point
+    stops once holds is true and its step is below xtol relative, or once
+    its bracket is that narrow; a small step from the false side is
+    doubled, to land past the root.  A zero step there moves one float, so
+    more than _CREEP_CAP of them in a row (a plateau where f rounds to 0)
+    bisect.  Returns each point's last x where holds is true, so the
+    bracket contracts of the callers stay true.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     out = lo.copy()

@@ -9,15 +9,15 @@ sends the subordination point zeta(z) back to z, and m = m_v/g,
 b = 1 + c t m and the companion transform are rational in m_v(zeta).
 
 Off the real axis both routes start at the ladder top, the level
-z_l = E + i max(eta, 10), from up to 30 fixed-point sweeps on m from
-m = -1/z_l: for large t that bare guess can have Re b <= 0 or lead Newton
-to a wrong root, and the sweeps reach the Re b > 0 branch.  From there the
-same sweeps run straight at z.  Every sweep reads its map value
+z_l = E + i max(eta, 10), from up to max_iterations fixed-point sweeps on
+m from m = -1/z_l: for large t that bare guess can have Re b <= 0 or lead
+Newton to a wrong root, and the sweeps reach the Re b > 0 branch.  From
+there the same sweeps run straight at z.  Every sweep reads its map value
 m -> b m_v(zeta(m)), zeta = b^2 z - b t (1-c), and its residual
 |Phi(zeta(m)) - z| from one _phi pass, and maps only the points that have
 not yet converged.  A sweep takes the secant step on the residual
-f(m) - m (Anderson acceleration of depth 1) where it is safe and a damped
-step elsewhere, so the sweeps use map values only.
+f(m) - m (Anderson acceleration of depth 1) where it is safe and a step
+damped by the constant 1/2 elsewhere, so the sweeps use map values only.
 
 The default (hybrid) route runs the sweeps at z to a loose update only,
 and then solves Phi(zeta) = z by Newton with backtracking, kept in
@@ -85,11 +85,10 @@ _PEAK_XTOL = 1e-8
 # Real-axis walk: the smallest E-step relative to max(1, |E|) at a
 # track's last accepted point.
 _WALK_FLOOR = 1e-12
-# Off-axis start: the level eta of the ladder top, the fixed-point
-# sweeps' initial damping, and the sweeps that start there.
+# Off-axis start: the level eta of the ladder top.  Fixed-point sweeps:
+# the damping of every step that is not a secant step.
 _ETA_TOP = 10.0
 _DAMPING = 0.5
-_START_SWEEPS = 30
 # Sweeps that only seed a Newton solve stop at this relative update.  A
 # Newton solve stops at _NEWTON_STOP relative and is read at its Newton
 # point, whose residual is about the square of that.
@@ -99,6 +98,14 @@ _NEWTON_STOP = 1e-8
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of the off-axis routes and the real-axis walk.
+
+    tolerance bounds the residual |Phi(zeta) - z| that a solved point must
+    meet.  max_iterations bounds, each on its own, the fixed-point start
+    sweeps at the ladder top, each route's sweeps at z, the Newton steps
+    at z and each real-axis walk block's Newton steps.
+    """
+
     tolerance: float = 1e-12
     max_iterations: int = 200
 
@@ -166,10 +173,9 @@ def _fp_iterate(d, c, t, z_l, m, n_steps, tol, goal=None):
     step m - r (m - m_prev) / (r - r_prev) is Anderson acceleration of
     depth 1 on a scalar unknown.  A point takes it where its |r| fell since
     its last sweep and the step keeps Im m > 0 and Re b > 0.  Otherwise the
-    point takes the damped step m + alpha r, whose alpha halves when |r|
-    grew and grows by 1.2 when it did not.  A point stops once |r| meets
-    tol * max(1, |m|) and keeps its m from then on; each sweep maps only
-    the points still active.  With a goal a point also needs
+    point takes the damped step m + _DAMPING r.  A point stops once |r|
+    meets tol * max(1, |m|) and keeps its m from then on; each sweep maps
+    only the points still active.  With a goal a point also needs
     |Phi(zeta(m)) - z_l| <= goal to stop, stops once it meets the goal and
     its |r| did not fall since its last sweep (from then on it only stirs
     rounding), and one still active after n_steps keeps its last mapped m.
@@ -178,11 +184,11 @@ def _fp_iterate(d, c, t, z_l, m, n_steps, tol, goal=None):
     """
     k, m = m.shape[0], m.copy()
     steps, res = np.zeros(k, dtype=int), np.full(k, np.inf)
-    # the live points' index, target, iterate, damping, and last iterate
-    # and residual; the first sweep has no history: its r_prev is infinite
-    # and its m_prev = m
+    # the live points' index, target, iterate, and last iterate and
+    # residual; the first sweep has no history: its r_prev is infinite and
+    # its m_prev = m
     live, z_a, m_a = np.arange(k), z_l, m
-    alpha, m_prev, r_prev = np.full(k, _DAMPING), m.copy(), np.full(k, np.inf, dtype=complex)
+    m_prev, r_prev = m.copy(), np.full(k, np.inf, dtype=complex)
     for sweep in range(n_steps):
         ph, mv = _phi(d, c, t, _zeta_from_m(c, t, z_a, m_a))
         r = (1.0 + c * t * m_a) * mv - m_a
@@ -196,7 +202,7 @@ def _fp_iterate(d, c, t, z_l, m, n_steps, tol, goal=None):
             steps[stop], m[stop] = sweep + 1, m_a[hit]
             keep = ~hit
             live, z_a, m_a, r, delta = live[keep], z_a[keep], m_a[keep], r[keep], delta[keep]
-            alpha, m_prev, r_prev, delta_prev = alpha[keep], m_prev[keep], r_prev[keep], delta_prev[keep]
+            m_prev, r_prev, delta_prev = m_prev[keep], r_prev[keep], delta_prev[keep]
             if live.size == 0:
                 break
         if goal is not None and sweep == n_steps - 1:
@@ -206,9 +212,8 @@ def _fp_iterate(d, c, t, z_l, m, n_steps, tol, goal=None):
         near = (delta < delta_prev) & (dm != 0)
         secant = m_a - r * dm / np.where(near, dr, 1.0)
         take = near & (secant.imag > 0) & ((1.0 + c * t * secant).real > 0)
-        alpha = np.where(delta > delta_prev, np.maximum(0.05, alpha * 0.5), np.minimum(1.0, alpha * 1.2))
         m_prev, r_prev = m_a, r
-        m_a = np.where(take, secant, m_a + alpha * r)
+        m_a = np.where(take, secant, m_a + _DAMPING * r)
     m[live], steps[live] = m_a, n_steps
     return m, steps, res
 
@@ -319,7 +324,7 @@ def _solve_grid(spec, params, z, cfg, method):
 
     # initial state at the ladder top, shared by both routes
     z_l = E + 1j * np.maximum(eta_t, _ETA_TOP)
-    m, iters, _ = _fp_iterate(d, c, t, z_l, -1.0 / z_l, _START_SWEEPS, _SEED_TOL)
+    m, iters, _ = _fp_iterate(d, c, t, z_l, -1.0 / z_l, cfg.max_iterations, _SEED_TOL)
     re_b = (1.0 + c * t * m).real
     if np.any(re_b <= 0):
         j = int(np.argmin(re_b))
