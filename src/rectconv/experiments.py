@@ -101,8 +101,9 @@ class ExperimentReport:
     pass_: bool
 
 
-def _config_digest(cfg: ExperimentConfig) -> dict:
-    return {
+def _report(name: str, cfg: ExperimentConfig, summary: dict, per_trial: list, ok) -> ExperimentReport:
+    """The report of experiment name run on cfg, which passes when ok holds."""
+    config = {
         "p": cfg.params.p,
         "n": cfg.params.n,
         "t": cfg.params.t,
@@ -110,6 +111,7 @@ def _config_digest(cfg: ExperimentConfig) -> dict:
         "trials": cfg.trials,
         "base_seed": cfg.base_seed,
     }
+    return ExperimentReport(name, config, summary, per_trial, bool(ok))
 
 
 @functools.cache
@@ -302,18 +304,13 @@ def rigidity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     envelope = float(params.n) ** (-2.0 / 3.0) * ks ** (-1.0 / 3.0) + eta_l
 
     records = _run_stream(cfg, spec, cfg.kinds[0], 0)
-    per_trial = []
-    pooled = []
-    for i, rec in enumerate(records):
-        top = rec.singular_values_sq[:k_max][keep]
-        r = np.abs(top - ref) / envelope
-        pooled.append(r)
-        per_trial.append(
-            {"trial": i, "seed": rec.seed, "max_ratio": float(r.max()), "r1": float(r[0])}
-        )
-    pooled = np.concatenate(pooled)
-    worst = np.array([row["max_ratio"] for row in per_trial])
-    p95 = _percentile(worst, 95.0)
+    ratios = [np.abs(rec.singular_values_sq[:k_max][keep] - ref) / envelope for rec in records]
+    per_trial = [
+        {"trial": i, "seed": rec.seed, "max_ratio": float(r.max()), "r1": float(r[0])}
+        for i, (rec, r) in enumerate(zip(records, ratios))
+    ]
+    pooled = np.concatenate(ratios)
+    p95 = _percentile([row["max_ratio"] for row in per_trial], 95.0)
     summary = {
         "lambda_plus": lam,
         "ranks_used": int(keep.sum()),
@@ -325,13 +322,23 @@ def rigidity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "reference": ref.tolist(),
         "envelope": envelope.tolist(),
     }
-    return ExperimentReport(
-        name="rigidity",
-        config=_config_digest(cfg),
-        summary=summary,
-        per_trial=per_trial,
-        pass_=bool(p95 <= cfg.thresholds.C_rigid),
+    return _report("rigidity", cfg, summary, per_trial, p95 <= cfg.thresholds.C_rigid)
+
+
+def _two_kinds(cfg: ExperimentConfig, stat, what: str):
+    """stat of each trial of kind a on stream 0 and of kind b on stream 1.
+
+    Checks for two kinds before any trial runs, and applies stat on the
+    calling thread.  Returns both samples and their per-trial rows.
+    """
+    if len(cfg.kinds) < 2:
+        raise ValueError(f"{what} needs two noise kinds")
+    a, b = (
+        np.array([stat(r) for r in _run_stream(cfg, cfg.spec, kind, stream)])
+        for stream, kind in enumerate(cfg.kinds[:2])
     )
+    rows = [{"trial": i, "stat_a": float(x), "stat_b": float(y)} for i, (x, y) in enumerate(zip(a, b))]
+    return a, b, rows
 
 
 def edge_universality_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -341,23 +348,22 @@ def edge_universality_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     kinds by the two-sample KS distance, with a same-kind disjoint-seed
     control pair guarding against a miscalibrated budget.
     """
-    if len(cfg.kinds) < 2:
-        raise ValueError("universality needs two noise kinds")
     spec, params = cfg.spec, cfg.params
-    edge = find_right_edge(spec, params)
     scale = float(params.n) ** (2.0 / 3.0)
 
-    def top_stats(kind: str, stream: int) -> np.ndarray:
-        recs = _run_stream(cfg, spec, kind, stream)
-        return np.array([scale * (r.singular_values_sq[0] - edge.lambda_plus) for r in recs])
+    @functools.cache
+    def lambda_plus() -> float:  # solved on first use, once _two_kinds has found two kinds
+        return find_right_edge(spec, params).lambda_plus
 
-    sample_a = top_stats(cfg.kinds[0], 0)
-    sample_b = top_stats(cfg.kinds[1], 1)
-    control = top_stats(cfg.kinds[0], 2)
+    def top(rec: TrialRecord) -> float:
+        return scale * (rec.singular_values_sq[0] - lambda_plus())
+
+    sample_a, sample_b, per_trial = _two_kinds(cfg, top, "universality")
+    control = np.array([top(r) for r in _run_stream(cfg, spec, cfg.kinds[0], 2)])
     ks_ab = ks_2samp(sample_a, sample_b)
     ks_control = ks_2samp(sample_a, control)
     summary = {
-        "lambda_plus": edge.lambda_plus,
+        "lambda_plus": lambda_plus(),
         "ks": ks_ab,
         "ks_control": ks_control,
         "mean_a": float(sample_a.mean()),
@@ -367,18 +373,8 @@ def edge_universality_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "ks_budget": cfg.thresholds.ks_budget,
         "ks_control_budget": cfg.thresholds.ks_control_budget,
     }
-    per_trial = [
-        {"trial": i, "stat_a": float(sample_a[i]), "stat_b": float(sample_b[i])}
-        for i in range(cfg.trials)
-    ]
     ok = ks_ab <= cfg.thresholds.ks_budget and ks_control <= cfg.thresholds.ks_control_budget
-    return ExperimentReport(
-        name="universality",
-        config=_config_digest(cfg),
-        summary=summary,
-        per_trial=per_trial,
-        pass_=bool(ok),
-    )
+    return _report("universality", cfg, summary, per_trial, ok)
 
 
 def _deloc_panel(params: ModelParams, base_seed: int):
@@ -424,17 +420,12 @@ def delocalization_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         )
     P = np.array([u for _, u in panel])
 
-    def overlaps(rec: TrialRecord):
-        return rec.seed, (P @ rec.left_vectors[:, : cfg.k_max]) ** 2
+    def ratios(rec: TrialRecord):
+        return rec.seed, (P @ rec.left_vectors[:, : cfg.k_max]) ** 2 / bounds
 
-    rows = _run_stream(cfg, spec, cfg.kinds[0], 0, want_vectors=True, reduce=overlaps)
-    pooled = []
-    per_trial = []
-    for i, (seed, ov) in enumerate(rows):
-        ratios = ov / bounds
-        pooled.append(ratios.ravel())
-        per_trial.append({"trial": i, "seed": seed, "max_ratio": float(ratios.max())})
-    pooled = np.concatenate(pooled)
+    rows = _run_stream(cfg, spec, cfg.kinds[0], 0, want_vectors=True, reduce=ratios)
+    per_trial = [{"trial": i, "seed": seed, "max_ratio": float(r.max())} for i, (seed, r) in enumerate(rows)]
+    pooled = np.concatenate([r.ravel() for _, r in rows])
     p95 = _percentile(pooled, 95.0)
     summary = {
         "ratio_p50": _percentile(pooled, 50.0),
@@ -443,13 +434,7 @@ def delocalization_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "panel": [name for name, _ in panel],
         "threshold": cfg.thresholds.C_deloc,
     }
-    return ExperimentReport(
-        name="delocalization",
-        config=_config_digest(cfg),
-        summary=summary,
-        per_trial=per_trial,
-        pass_=bool(p95 <= cfg.thresholds.C_deloc),
-    )
+    return _report("delocalization", cfg, summary, per_trial, p95 <= cfg.thresholds.C_deloc)
 
 
 def _default_z_grid(params: ModelParams, edge: EdgeData) -> tuple:
@@ -503,21 +488,12 @@ def local_law_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         return rec.seed, avg, aniso
 
     rows = _run_stream(cfg, spec, cfg.kinds[0], 0, want_vectors=True, reduce=residuals)
-    avg_stats, aniso_stats = [], []
-    per_trial = []
-    for i, (seed, avg, aniso) in enumerate(rows):
-        avg_stats.append(avg)
-        aniso_stats.append(aniso)
-        per_trial.append(
-            {
-                "trial": i,
-                "seed": seed,
-                "avg_max": float(avg.max()),
-                "aniso_max": float(aniso.max()),
-            }
-        )
-    avg_all = np.concatenate(avg_stats)
-    aniso_all = np.concatenate(aniso_stats)
+    per_trial = [
+        {"trial": i, "seed": seed, "avg_max": float(avg.max()), "aniso_max": float(aniso.max())}
+        for i, (seed, avg, aniso) in enumerate(rows)
+    ]
+    avg_all = np.concatenate([avg for _, avg, _ in rows])
+    aniso_all = np.concatenate([aniso for _, _, aniso in rows])
     summary = {
         "grid": [[z.real, z.imag] for z in grid],
         "avg_p95": _percentile(avg_all, 95.0),
@@ -527,17 +503,8 @@ def local_law_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "C_avg": cfg.thresholds.C_avg,
         "C_aniso": cfg.thresholds.C_aniso,
     }
-    ok = (
-        summary["avg_p95"] <= cfg.thresholds.C_avg
-        and summary["aniso_p95"] <= cfg.thresholds.C_aniso
-    )
-    return ExperimentReport(
-        name="locallaw",
-        config=_config_digest(cfg),
-        summary=summary,
-        per_trial=per_trial,
-        pass_=bool(ok),
-    )
+    ok = summary["avg_p95"] <= cfg.thresholds.C_avg and summary["aniso_p95"] <= cfg.thresholds.C_aniso
+    return _report("locallaw", cfg, summary, per_trial, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +538,7 @@ def rank_estimator(record: TrialRecord, omega: float, ell: int) -> int:
 
 def t1_null_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """KS comparison of the eigengap-ratio statistic between two noise kinds."""
-    if len(cfg.kinds) < 2:
-        raise ValueError("t1 null comparison needs two noise kinds")
-    spec = cfg.spec
-
-    def stats(kind: str, stream: int) -> np.ndarray:
-        recs = _run_stream(cfg, spec, kind, stream)
-        return np.array([t1_statistic(r) for r in recs])
-
-    sample_a = stats(cfg.kinds[0], 0)
-    sample_b = stats(cfg.kinds[1], 1)
+    sample_a, sample_b, per_trial = _two_kinds(cfg, t1_statistic, "t1 null comparison")
     ks = ks_2samp(sample_a, sample_b)
     summary = {
         "ks": ks,
@@ -588,17 +546,7 @@ def t1_null_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "median_b": float(np.median(sample_b)),
         "ks_budget": cfg.thresholds.ks_budget,
     }
-    per_trial = [
-        {"trial": i, "stat_a": float(sample_a[i]), "stat_b": float(sample_b[i])}
-        for i in range(cfg.trials)
-    ]
-    return ExperimentReport(
-        name="t1-null",
-        config=_config_digest(cfg),
-        summary=summary,
-        per_trial=per_trial,
-        pass_=bool(ks <= cfg.thresholds.ks_budget),
-    )
+    return _report("t1-null", cfg, summary, per_trial, ks <= cfg.thresholds.ks_budget)
 
 
 def _plant(spec: Spectrum, spikes) -> Spectrum:
@@ -648,13 +596,7 @@ def bbp_experiment(cfg: ExperimentConfig, spike: float) -> ExperimentReport:
         "median_error": med,
         "bound": bound,
     }
-    return ExperimentReport(
-        name="bbp",
-        config=_config_digest(cfg),
-        summary=summary,
-        per_trial=per_trial,
-        pass_=bool(med <= bound),
-    )
+    return _report("bbp", cfg, summary, per_trial, med <= bound)
 
 
 def rank_experiment(cfg: ExperimentConfig, spikes=()) -> ExperimentReport:
@@ -668,12 +610,12 @@ def rank_experiment(cfg: ExperimentConfig, spikes=()) -> ExperimentReport:
     spiked = _plant(spec, spikes)
     records = _run_stream(cfg, spiked, cfg.kinds[0], 0)
 
-    omegas = sorted(set([cfg.omega, 0.02, 0.05, 0.1, 0.2]))
-    sweep = {}
-    for om in omegas:
-        est = np.array([rank_estimator(r, om, cfg.ell) for r in records])
-        sweep[f"{om:g}"] = float(np.mean(est == expected))
-    est_main = np.array([rank_estimator(r, cfg.omega, cfg.ell) for r in records])
+    estimates = {
+        om: np.array([rank_estimator(r, om, cfg.ell) for r in records])
+        for om in sorted(set([cfg.omega, 0.02, 0.05, 0.1, 0.2]))
+    }
+    sweep = {f"{om:g}": float(np.mean(est == expected)) for om, est in estimates.items()}
+    est_main = estimates[cfg.omega]
     qualified = np.array(
         [
             r.singular_values_sq[e] / r.singular_values_sq[e + 1] - 1.0 <= cfg.omega
@@ -682,13 +624,8 @@ def rank_experiment(cfg: ExperimentConfig, spikes=()) -> ExperimentReport:
     )
     freq = float(np.mean(est_main == expected))
     per_trial = [
-        {
-            "trial": i,
-            "seed": r.seed,
-            "estimate": int(est_main[i]),
-            "qualified": bool(qualified[i]),
-        }
-        for i, r in enumerate(records)
+        {"trial": i, "seed": r.seed, "estimate": int(e), "qualified": bool(q)}
+        for i, (r, e, q) in enumerate(zip(records, est_main, qualified))
     ]
     summary = {
         "spikes": list(spikes),
@@ -699,13 +636,7 @@ def rank_experiment(cfg: ExperimentConfig, spikes=()) -> ExperimentReport:
         "omega_sweep": sweep,
         "rate_required": cfg.thresholds.rank_rate,
     }
-    return ExperimentReport(
-        name="rank-sweep",
-        config=_config_digest(cfg),
-        summary=summary,
-        per_trial=per_trial,
-        pass_=bool(freq >= cfg.thresholds.rank_rate),
-    )
+    return _report("rank-sweep", cfg, summary, per_trial, freq >= cfg.thresholds.rank_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -127,26 +127,25 @@ def test_experiment_outputs_deterministic(tmp_path, capsys):
         assert a == b
 
 
-def test_threads_do_not_change_output(tmp_path, capsys):
-    cfg = _write_config(tmp_path, trials=6, experiment={"k_max": 4})
-    main(["experiment", "rigidity", "--config", cfg, "--out", str(tmp_path / "t1")])
-    main(
-        [
-            "experiment",
-            "rigidity",
-            "--config",
-            cfg,
-            "--out",
-            str(tmp_path / "t4"),
-            "--threads",
-            "4",
-        ]
+@pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
+def test_threads_do_not_change_output(tmp_path, capsys, name):
+    cfg = _write_config(
+        tmp_path,
+        spectrum={"canonical": {"p": 20, "edge": 1.0}},
+        p=20,
+        n=40,
+        trials=6,
+        noise=["gaussian", "trinary"],
+        experiment={"k_max": 4, "spike": 2.0, "spikes": [2, 1.8]},
     )
+    outputs = {}
+    for threads in ("1", "4"):
+        out = tmp_path / f"t{threads}"
+        rc = main(["experiment", name, "--config", cfg, "--out", str(out), "--threads", threads])
+        assert rc in (0, 1), capsys.readouterr().err
+        outputs[threads] = [(out / f).read_bytes() for f in (f"{name}.json", f"{name}_trials.csv")]
     capsys.readouterr()
-    for name in ("rigidity.json", "rigidity_trials.csv"):
-        a = (tmp_path / "t1" / name).read_bytes()
-        b = (tmp_path / "t4" / name).read_bytes()
-        assert a == b
+    assert outputs["1"] == outputs["4"]
 
 
 def test_threads_env_honored(tmp_path, capsys, monkeypatch):
@@ -435,6 +434,39 @@ def test_missing_config_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["edge", "--config", missing, "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+# one malformed value each.  Unchecked, most crashed with a traceback and
+# exit 1, the code of a failed experiment threshold; the spectrum's extra
+# keys were ignored, and the run went on without them
+_MALFORMED = [
+    ("rigidity", {"experiment": {"thresholds": {"C_rigid": "5"}}}, "thresholds-string"),
+    ("rigidity", {"experiment": {"thresholds": 5}}, "thresholds-number"),
+    ("locallaw", {"experiment": {"z_grid": [1.0]}}, "z-grid-flat"),
+    *((name, {"experiment": {key: None}}, f"{name}-{key}-null") for name in cli._EXPERIMENTS for key in ("k_max", "omega")),
+    ("bbp", {"experiment": {"spike": None}}, "spike-null"),
+    ("rank-sweep", {"experiment": {"spikes": 3}}, "spikes-number"),
+    ("locallaw", {"solver": {"max_iterations": 50.5}}, "max-iterations-fraction"),
+    ("edge", {"noise": 5}, "noise-number"),
+    ("rigidity", {"noise": []}, "noise-empty"),
+    ("edge", {"p": [20]}, "p-list"),
+    ("edge", {"spectrum": {"file": 3}}, "spectrum-file-number"),
+    ("edge", {"spectrum": {"file": "no-such-spectrum.txt"}}, "spectrum-file-missing"),
+    ("edge", {"spectrum": {"canonical": 10}}, "spectrum-canonical-number"),
+    ("edge", {"spectrum": {"values": [{}] * 10}}, "spectrum-values-objects"),
+    ("edge", {"spectrum": {"canonical": {"p": 10, "egde": 2.0}}}, "spectrum-canonical-misspelt-edge"),
+    ("edge", {"spectrum": {"zeros": 10, "values": [1.0] * 10}}, "spectrum-two-forms"),
+    ("rigidity", {"trials": None}, "trials-null"),
+]
+
+
+@pytest.mark.parametrize("command, overrides", [case[:2] for case in _MALFORMED], ids=[case[2] for case in _MALFORMED])
+def test_malformed_config_value_exits_two(tmp_path, capsys, monkeypatch, command, overrides):
+    monkeypatch.chdir(tmp_path)  # where the missing spectrum file is looked for
+    cfg = _write_config(tmp_path, **{"trials": 2, **overrides})
+    argv = [command] if command == "edge" else ["experiment", command]
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_bbp_requires_spike(tmp_path, capsys):

@@ -383,8 +383,10 @@ def test_universality_structure():
     assert abs(s["mean_a"]) < 20 and abs(s["mean_b"]) < 20
 
 
-def test_universality_needs_two_kinds():
-    with pytest.raises(ValueError):
+def test_universality_needs_two_kinds(monkeypatch):
+    # the kinds are checked before the edge is solved
+    monkeypatch.setattr(experiments, "find_right_edge", None)
+    with pytest.raises(ValueError, match="universality needs two noise kinds"):
         edge_universality_experiment(_small_cfg(trials=4))
 
 
